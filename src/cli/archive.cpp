@@ -837,6 +837,7 @@ std::size_t compress_to_stream(const Tensor& input,
   require_writable_chunk_bytes(options.chunk_bytes);
 
   AIC_TRACE_SCOPE("pipeline.stream_compress");
+  runtime::Timer wall_timer;
   const core::CodecPtr codec = core::make_codec(codec_spec, ctx);
   Archive archive = classify_codec(*codec, codec_spec, input.shape());
   if (codec_out != nullptr) *codec_out = codec;
@@ -877,6 +878,8 @@ std::size_t compress_to_stream(const Tensor& input,
   std::vector<ChunkEntry> table(chunk_count);
   std::uint64_t encoded_total = 0;
   std::size_t next_chunk = 0;
+  std::uint64_t transform_ns = 0;
+  std::atomic<std::uint64_t> encode_ns{0};
 
   // Encodes every chunk fully covered by payload bytes [0, high_water)
   // across the pool, then writes them to the sink in index order. All
@@ -889,10 +892,13 @@ std::size_t compress_to_stream(const Tensor& input,
       const std::size_t lo = next_chunk * chunk_bytes;
       const std::size_t hi = std::min(payload_len, lo + chunk_bytes);
       if (hi > high_water) break;
-      batch.push_back(pool.submit([window, window_base, lo, hi, &options] {
-        return encode_one_chunk(
+      batch.push_back(pool.submit([&, window, window_base, lo, hi] {
+        runtime::Timer timer;
+        EncodedChunk chunk = encode_one_chunk(
             std::string_view(window + (lo - window_base), hi - lo),
             options.entropy);
+        encode_ns.fetch_add(timer.nanos(), std::memory_order_relaxed);
+        return chunk;
       }));
       ++next_chunk;
     }
@@ -924,6 +930,7 @@ std::size_t compress_to_stream(const Tensor& input,
     std::size_t produced = tensor_header.size();
     std::memcpy(window.data(), tensor_header.data(), tensor_header.size());
     for (std::size_t p = 0; p < planes; ++p) {
+      runtime::Timer timer;
       std::memcpy(plane.raw(),
                   reinterpret_cast<const char*>(input.raw()) +
                       p * in_plane_bytes,
@@ -931,6 +938,7 @@ std::size_t compress_to_stream(const Tensor& input,
       codec->compress_into(plane, packed_plane);
       std::memcpy(window.data() + (produced - window_base),
                   packed_plane.raw(), packed_plane_bytes);
+      transform_ns += timer.nanos();
       produced += packed_plane_bytes;
       drain_ready(window.data(), window_base, produced);
       const std::size_t drained_end =
@@ -952,11 +960,13 @@ std::size_t compress_to_stream(const Tensor& input,
     runtime::BufferPool::Buffer payload =
         ctx.buffer_pool().acquire(payload_len);
     std::memcpy(payload.data(), tensor_header.data(), tensor_header.size());
+    runtime::Timer timer;
     Tensor packed = scratch->acquire(packed_shape);
     codec->compress_into(input, packed);
     std::memcpy(payload.data() + tensor_header.size(), packed.raw(),
                 packed.size_bytes());
     scratch->release(std::move(packed));
+    transform_ns = timer.nanos();
     drain_ready(payload.data(), 0, payload_len);
   }
 
@@ -985,6 +995,9 @@ std::size_t compress_to_stream(const Tensor& input,
   if (!out) throw std::runtime_error("archive: stream write failed");
   obs::PipelineMetrics::global().record_archive_layout(chunk_bytes,
                                                        chunk_count);
+  obs::PipelineMetrics::global().record_overlap(
+      transform_ns, encode_ns.load(std::memory_order_relaxed),
+      wall_timer.nanos());
   return 16 + header_len + static_cast<std::size_t>(encoded_total);
 }
 
@@ -1271,11 +1284,11 @@ void save_archive(const Archive& archive, const std::string& path) {
   if (!file) throw std::runtime_error("archive: write failed: " + path);
 }
 
-Archive load_archive(const std::string& path) {
+Archive load_archive(const std::string& path, const Context& ctx) {
   // Zero-copy read: decode straight out of the mapping (MappedFile
   // falls back to a heap read for pipes, AIC_NO_MMAP, or mmap failure).
   const io::MappedFile file(path);
-  return deserialize_archive(file.view());
+  return deserialize_archive(file.view(), ctx);
 }
 
 }  // namespace aic::cli

@@ -198,7 +198,9 @@ ArchiveProbe probe_archive(std::string_view bytes);
 
 void save_archive(const Archive& archive, const std::string& path);
 /// Reads `path` through io::MappedFile (mmap with heap fallback) and
-/// decodes in place — no whole-file heap copy on the mmap path.
-Archive load_archive(const std::string& path);
+/// decodes in place on `ctx`'s pool — no whole-file heap copy on the
+/// mmap path.
+Archive load_archive(const std::string& path,
+                     const Context& ctx = Context::process_default());
 
 }  // namespace aic::cli

@@ -1,5 +1,6 @@
 #include "cli/cli.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <map>
@@ -480,6 +481,34 @@ int cmd_codecs(std::ostream& out) {
   return 0;
 }
 
+/// Opens `path` for a binary write and runs `write` on the stream. A
+/// failure after the open (a bad codec spec, a failed write) removes the
+/// partial file and rethrows, so a failed command leaves no truncated
+/// output behind. Pipes and devices are never removed.
+template <typename Write>
+void write_output(const std::string& path, const char* command,
+                  Write&& write) {
+  std::ofstream file(path, std::ios::binary);
+  if (!file) {
+    throw std::runtime_error(std::string(command) + ": cannot open " + path);
+  }
+  try {
+    write(file);
+    file.close();
+    if (!file) {
+      throw std::runtime_error(std::string(command) + ": write failed: " +
+                               path);
+    }
+  } catch (...) {
+    file.close();
+    std::error_code ignored;
+    if (std::filesystem::is_regular_file(path, ignored)) {
+      std::filesystem::remove(path, ignored);
+    }
+    throw;
+  }
+}
+
 int cmd_gen(const Options& options, std::ostream& out) {
   if (options.positional.size() != 1) {
     throw std::invalid_argument("gen: expected one output path");
@@ -496,7 +525,8 @@ int cmd_gen(const Options& options, std::ostream& out) {
       tensor.set_plane(b, c, plane);
     }
   }
-  io::save_tensor(tensor, options.positional[0]);
+  write_output(options.positional[0], "gen",
+               [&](std::ostream& file) { io::write_tensor(tensor, file); });
   out << "wrote " << tensor.shape().to_string() << " ("
       << tensor.size_bytes() << " bytes) to " << options.positional[0]
       << "\n";
@@ -523,23 +553,20 @@ int cmd_compress(const Options& options, std::ostream& out,
     throw std::invalid_argument("compress: expected <in.aict> <out.aicz>");
   }
   const Tensor input = io::load_tensor(options.positional[0]);
+  // Flag errors surface before the output is opened (and truncated).
+  const std::string spec = codec_spec(options);
+  const ArchiveWriteOptions write_options = archive_write_options(options);
   core::CodecPtr codec;
-  // The fused pipeline overlaps the transform of one plane group with
-  // the chunk entropy encode of the previous one (v4; older versions
-  // degrade to the two-phase path inside).
-  const std::string bytes = compress_to_archive_bytes(
-      input, codec_spec(options), archive_write_options(options), &codec,
-      ctx);
-  std::ofstream file(options.positional[1], std::ios::binary);
-  if (!file) {
-    throw std::runtime_error("compress: cannot open " + options.positional[1]);
-  }
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!file) {
-    throw std::runtime_error("compress: write failed: " +
-                             options.positional[1]);
-  }
-  out << codec->name() << ": " << input.size_bytes() << " -> " << bytes.size()
+  std::size_t archive_bytes = 0;
+  // Chunks are entropy coded and written as soon as their payload bytes
+  // exist, and the chunk table is back-patched at the end, so the archive
+  // never exists whole in memory. A non-seekable output (a pipe) takes
+  // the in-memory fused writer plus one write; the bytes are the same.
+  write_output(options.positional[1], "compress", [&](std::ostream& file) {
+    archive_bytes =
+        compress_to_stream(input, spec, file, write_options, &codec, ctx);
+  });
+  out << codec->name() << ": " << input.size_bytes() << " -> " << archive_bytes
       << " archive bytes (CR " << codec->compression_ratio() << ")\n";
   if (options.stats) print_stats(out, *codec, ctx);
   return 0;
@@ -550,11 +577,12 @@ int cmd_decompress(const Options& options, std::ostream& out,
   if (options.positional.size() != 2) {
     throw std::invalid_argument("decompress: expected <in.aicz> <out.aict>");
   }
-  const Archive archive = load_archive(options.positional[0]);
+  const Archive archive = load_archive(options.positional[0], ctx);
   const core::CodecPtr codec = make_archive_codec(archive, ctx);
   const Tensor restored =
       codec->decompress(archive.packed, archive.original_shape);
-  io::save_tensor(restored, options.positional[1]);
+  write_output(options.positional[1], "decompress",
+               [&](std::ostream& file) { io::write_tensor(restored, file); });
   out << "restored " << restored.shape().to_string() << " to "
       << options.positional[1] << "\n";
   if (options.stats) print_stats(out, *codec, ctx);
@@ -570,7 +598,7 @@ int cmd_verify(const Options& options, std::ostream& out,
   if (options.positional.size() != 1) {
     throw std::invalid_argument("verify: expected one archive path");
   }
-  const Archive archive = load_archive(options.positional[0]);
+  const Archive archive = load_archive(options.positional[0], ctx);
   const core::CodecPtr codec = make_archive_codec(archive, ctx);
   const Tensor restored =
       codec->decompress(archive.packed, archive.original_shape);
@@ -586,12 +614,10 @@ int cmd_info(const Options& options, std::ostream& out, const Context& ctx) {
   if (options.positional.size() != 1) {
     throw std::invalid_argument("info: expected one path");
   }
-  const std::string& path = options.positional[0];
+  // One mapped read serves the archive decode, the header probe and,
+  // when the file is not an archive, the plain-tensor parse.
+  const io::MappedFile file(options.positional[0]);
   try {
-    // One mapped read serves both the full decode and the header probe —
-    // info used to slurp the file twice (load_archive + a second
-    // ifstream for probe_archive).
-    const io::MappedFile file(path);
     const Archive archive = deserialize_archive(file.view(), ctx);
     const auto codec = make_archive_codec(archive, ctx);
     out << "archive: codec=" << codec->name()
@@ -612,7 +638,7 @@ int cmd_info(const Options& options, std::ostream& out, const Context& ctx) {
   } catch (const std::exception&) {
     // Fall through to plain tensor.
   }
-  const Tensor tensor = io::load_tensor(path);
+  const Tensor tensor = io::deserialize_tensor(file.view());
   out << "tensor: shape=" << tensor.shape().to_string() << " ("
       << tensor.size_bytes() << " bytes), mean=" << tensor::mean(tensor)
       << " max|x|=" << tensor::max_abs(tensor) << "\n";

@@ -1,12 +1,15 @@
 #include "io/tensor_io.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 
 #include "io/byte_reader.hpp"
 #include "io/error.hpp"
+#include "io/mapped_file.hpp"
 
 namespace aic::io {
 
@@ -124,20 +127,57 @@ Tensor deserialize_tensor(std::string_view bytes) {
   return tensor;
 }
 
+void write_tensor(const Tensor& tensor, std::ostream& out) {
+  const std::string header = serialize_tensor_header(tensor.shape());
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  out.write(reinterpret_cast<const char*>(tensor.raw()),
+            static_cast<std::streamsize>(tensor.size_bytes()));
+}
+
 void save_tensor(const Tensor& tensor, const std::string& path) {
   std::ofstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("tensor_io: cannot open " + path);
-  const std::string bytes = serialize_tensor(tensor);
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  write_tensor(tensor, file);
+  file.close();
   if (!file) throw std::runtime_error("tensor_io: write failed: " + path);
 }
 
 Tensor load_tensor(const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code ignored;
+  const fs::file_status status = fs::status(path, ignored);
+  if (fs::is_directory(status)) {
+    throw std::runtime_error("tensor_io: " + path + " is a directory");
+  }
+  if (fs::exists(status) && !fs::is_regular_file(status)) {
+    // Pipes and devices have no size up front; MappedFile reads them whole.
+    return deserialize_tensor(MappedFile(path).view());
+  }
   std::ifstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("tensor_io: cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(file)),
-                    std::istreambuf_iterator<char>());
-  return deserialize_tensor(bytes);
+  file.seekg(0, std::ios::end);
+  const std::streamoff end = file.tellg();
+  if (end < 0) throw std::runtime_error("tensor_io: cannot size " + path);
+  const auto total = static_cast<std::size_t>(end);
+  file.seekg(0);
+  const auto read_exact = [&](char* dst, std::size_t len) {
+    file.read(dst, static_cast<std::streamsize>(len));
+    if (static_cast<std::size_t>(file.gcount()) != len) {
+      raise_corrupt(CorruptKind::kTruncated,
+                    "tensor_io: " + path + " shrank while being read");
+    }
+  };
+  // The header is validated against the real file size before the
+  // Tensor exists, so dims promising more bytes than the file holds are
+  // rejected without allocating; the payload is then read straight into
+  // the tensor's storage.
+  std::string prefix(std::min(total, max_tensor_header_bytes()), '\0');
+  read_exact(prefix.data(), prefix.size());
+  const TensorHeaderInfo info = parse_tensor_header(prefix, total);
+  Tensor tensor(info.shape);
+  file.seekg(static_cast<std::streamoff>(info.header_bytes));
+  read_exact(reinterpret_cast<char*>(tensor.raw()), info.payload_bytes);
+  return tensor;
 }
 
 }  // namespace aic::io

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -13,16 +14,26 @@ namespace aic::io {
 ///
 /// Used to persist compressed datasets and precomputed LHS/RHS operators
 /// between runs; round-trips bit-exactly.
+///
+/// The file functions move each byte once: save_tensor writes the header
+/// and then the tensor's own storage (no staging string), and load_tensor
+/// validates the header against the file size (same typed CorruptStream
+/// rejections as deserialize_tensor, raised before anything is
+/// allocated) and reads the payload straight into the new tensor.
 void save_tensor(const tensor::Tensor& tensor, const std::string& path);
 
-/// Loads a tensor written by save_tensor. Throws std::runtime_error on
-/// malformed files.
+/// Loads a tensor written by save_tensor. Throws std::runtime_error when
+/// the path cannot be opened or is a directory, CorruptStream on
+/// malformed contents. Pipes and devices are read whole, then parsed.
 tensor::Tensor load_tensor(const std::string& path);
 
-/// In-memory variants (the file functions are thin wrappers). The
-/// string_view overload is the primary implementation: it parses
-/// non-owning bytes (e.g. a mapped file or a pooled staging buffer)
-/// without the historical copy into an owned string.
+/// Streams the save_tensor bytes (header, then the tensor's storage) to
+/// `out`; the caller checks the stream state.
+void write_tensor(const tensor::Tensor& tensor, std::ostream& out);
+
+/// In-memory variants. The string_view overload parses non-owning bytes
+/// (e.g. a mapped file or a pooled staging buffer) without a copy into
+/// an owned string.
 std::string serialize_tensor(const tensor::Tensor& tensor);
 tensor::Tensor deserialize_tensor(std::string_view bytes);
 

@@ -16,9 +16,10 @@ namespace aic::obs {
 ///   pipeline.overlap_efficiency                         gauge
 ///
 /// overlap_efficiency is (transform_ns + encode_ns) / wall_ns of the last
-/// fused compress: 1.0 means fully serial, values approaching 2.0 mean
-/// the producer (GEMM sandwich transform) and consumer (chunk entropy
-/// encode) stages ran concurrently.
+/// fused or streaming compress: 1.0 means fully serial, values above it
+/// mean the producer (GEMM sandwich transform) and consumer (chunk
+/// entropy encode) stages, or the chunk encodes themselves, ran
+/// concurrently.
 struct PipelineMetrics {
   void record_chunk_encoded(std::uint64_t nanos);
   void record_chunk_decoded(std::uint64_t nanos);

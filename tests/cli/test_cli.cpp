@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "cli/archive.hpp"
 #include "io/error.hpp"
@@ -249,6 +251,115 @@ TEST(Cli, VerifyRejectsFlippedBit) {
   std::string err;
   EXPECT_EQ(run({"verify", packed}, nullptr, &err), 1);
   EXPECT_NE(err.find("corrupt stream"), std::string::npos) << err;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
+}
+
+void flip_last_bytes(const std::string& path) {
+  std::string bytes = read_file(path);
+  bytes[bytes.size() - 5] ^= 0x10;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+constexpr const char* kDefaultSpec = "dctchop:cf=4,block=8,transform=dct";
+
+TEST(Cli, CompressFileMatchesInMemoryArchiveBytes) {
+  // The streamed file must equal the fused in-memory writer's bytes for
+  // every container version, entropy mode and pool size. A 1 KiB chunk
+  // budget spreads the payload over many chunks, so the streaming
+  // writer's window slides and its chunk table is back-patched.
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string packed = dir.file("packed.aicz");
+  ASSERT_EQ(run({"gen", raw, "--res", "32", "--batch", "2"}), 0);
+  const Tensor input = io::load_tensor(raw);
+  for (const std::uint32_t version : {2u, 3u, 4u}) {
+    for (const std::string entropy : {"raw", "huffman"}) {
+      ArchiveWriteOptions options;
+      options.version = version;
+      options.chunk_bytes = 1024;
+      options.entropy = baseline::parse_chunk_entropy(entropy);
+      const std::string expected =
+          compress_to_archive_bytes(input, kDefaultSpec, options);
+      for (const std::string threads : {"1", "4"}) {
+        const std::string label = "v" + std::to_string(version) + " " +
+                                  entropy + " threads=" + threads;
+        ASSERT_EQ(run({"compress", raw, packed, "--archive-version",
+                       std::to_string(version), "--entropy", entropy,
+                       "--chunk-bytes", "1024", "--threads", threads}),
+                  0)
+            << label;
+        EXPECT_EQ(read_file(packed), expected) << label;
+      }
+    }
+  }
+}
+
+TEST(Cli, CompressIntoFifoMatchesFile) {
+  // A FIFO cannot seek, so the streaming writer takes its in-memory
+  // fallback; the bytes must not change.
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string fifo = dir.file("packed.fifo");
+  ASSERT_EQ(run({"gen", raw, "--res", "32", "--batch", "2"}), 0);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::string received;
+  std::thread reader([&] { received = read_file(fifo); });
+  const int code = run({"compress", raw, fifo, "--chunk-bytes", "1024"});
+  if (code != 0) std::ofstream{fifo};  // unblock a reader still in open()
+  reader.join();
+  ASSERT_EQ(code, 0);
+  ArchiveWriteOptions options;
+  options.chunk_bytes = 1024;
+  EXPECT_EQ(received,
+            compress_to_archive_bytes(io::load_tensor(raw), kDefaultSpec,
+                                      options));
+}
+
+TEST(Cli, DecompressFileMatchesSerializedTensor) {
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string packed = dir.file("packed.aicz");
+  const std::string restored = dir.file("restored.aict");
+  ASSERT_EQ(run({"gen", raw, "--res", "32"}), 0);
+  ASSERT_EQ(run({"compress", raw, packed}), 0);
+  ASSERT_EQ(run({"decompress", packed, restored}), 0);
+  const Archive archive = deserialize_archive(read_file(packed));
+  const Tensor expected = make_archive_codec(archive)->decompress(
+      archive.packed, archive.original_shape);
+  EXPECT_EQ(read_file(restored), io::serialize_tensor(expected));
+}
+
+TEST(Cli, FailedCompressLeavesNoOutput) {
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string packed = dir.file("packed.aicz");
+  ASSERT_EQ(run({"gen", raw, "--res", "16"}), 0);
+  std::string err;
+  EXPECT_EQ(run({"compress", raw, packed, "--codec", "bogus:cf=4"}, nullptr,
+                &err),
+            1);
+  EXPECT_NE(err.find("unknown codec \"bogus\""), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(packed));
+}
+
+TEST(Cli, FailedDecompressLeavesNoOutput) {
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string packed = dir.file("packed.aicz");
+  const std::string restored = dir.file("restored.aict");
+  ASSERT_EQ(run({"gen", raw, "--res", "16"}), 0);
+  ASSERT_EQ(run({"compress", raw, packed}), 0);
+  flip_last_bytes(packed);
+  std::string err;
+  EXPECT_EQ(run({"decompress", packed, restored}, nullptr, &err), 1);
+  EXPECT_NE(err.find("corrupt stream [checksum_mismatch]"), std::string::npos)
+      << err;
+  EXPECT_FALSE(std::filesystem::exists(restored));
 }
 
 TEST(Archive, SerializeDeserializeRoundTrip) {

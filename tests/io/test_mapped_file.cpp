@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "cli/archive.hpp"
 #include "data/synth.hpp"
@@ -95,6 +97,22 @@ TEST(MappedFile, EnvEscapeHatchForcesHeapFallback) {
   EXPECT_FALSE(file.mapped());
   EXPECT_EQ(file.view(), std::string_view("same bytes either way"));
 }
+
+#ifndef _WIN32
+TEST(MappedFile, ReadsAPipeWhole) {
+  // The pipe must be drained through the descriptor that paired with the
+  // writer; reopening the path would block waiting for a second writer.
+  TempDir dir;
+  const std::string path = dir.file("pipe.fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const std::string contents(200 * 1024, 'p');
+  std::thread writer([&] { write_file(path, contents); });
+  const MappedFile file(path);
+  writer.join();
+  EXPECT_FALSE(file.mapped());
+  EXPECT_EQ(file.view(), std::string_view(contents));
+}
+#endif
 
 TEST(MappedFile, MoveTransfersTheMapping) {
   TempDir dir;
