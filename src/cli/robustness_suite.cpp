@@ -4,7 +4,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <stdexcept>
 
 #include "baseline/bitstream.hpp"
 #include "baseline/huffman.hpp"
@@ -40,18 +42,9 @@ constexpr std::size_t kMaxFrameCount = std::size_t{1} << 20;
 // ---------------------------------------------------------------------------
 // Seed construction
 
-Tensor seed_tensor(std::uint64_t seed) {
-  runtime::Rng rng(seed);
-  Tensor tensor(Shape::bchw(1, 1, 16, 16));
-  Tensor plane = data::smooth_field(16, 16, rng, 4, 0.5);
-  data::add_gaussian_noise(plane, rng, 0.02);
-  tensor.set_plane(0, 0, plane);
-  return tensor;
-}
-
 std::string archive_bytes(const std::string& spec, std::uint32_t version,
                           std::uint64_t seed) {
-  return serialize_archive(compress_to_archive(seed_tensor(seed), spec),
+  return serialize_archive(compress_to_archive(corpus_seed_tensor(seed), spec),
                            version);
 }
 
@@ -60,7 +53,7 @@ std::string archive_bytes_v4(const std::string& spec, std::uint64_t seed,
                              baseline::ChunkEntropy entropy) {
   const ArchiveWriteOptions options{
       .version = 4, .chunk_bytes = chunk_bytes, .entropy = entropy};
-  return serialize_archive(compress_to_archive(seed_tensor(seed), spec),
+  return serialize_archive(compress_to_archive(corpus_seed_tensor(seed), spec),
                            options);
 }
 
@@ -339,6 +332,28 @@ std::vector<std::pair<std::string, std::string>> rle_deep_mutants() {
 }
 
 }  // namespace
+
+Tensor corpus_seed_tensor(std::uint64_t seed) {
+  runtime::Rng rng(seed);
+  Tensor tensor(Shape::bchw(1, 1, 16, 16));
+  Tensor plane = data::smooth_field(16, 16, rng, 4, 0.5);
+  data::add_gaussian_noise(plane, rng, 0.02);
+  tensor.set_plane(0, 0, plane);
+  return tensor;
+}
+
+std::string read_corpus_seed(const std::string& family,
+                             const std::string& name) {
+  const std::filesystem::path path =
+      std::filesystem::path(AIC_CORPUS_DIR) / family / name;
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    throw std::runtime_error("robustness suite: cannot open corpus seed " +
+                             path.string());
+  }
+  return std::string(std::istreambuf_iterator<char>(file),
+                     std::istreambuf_iterator<char>());
+}
 
 // ---------------------------------------------------------------------------
 // Frame decoders

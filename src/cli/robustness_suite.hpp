@@ -1,10 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "io/fault_inject.hpp"
+#include "tensor/tensor.hpp"
 
 namespace aic::cli {
 
@@ -42,6 +44,15 @@ std::string decode_bitstream_body(const std::string& bytes);
 /// matrix targets decode, mirroring the archive v3 contract for the raw
 /// codec streams that have no container of their own.
 std::string seal_frame(const std::string& body);
+
+/// The 1x1x16x16 input every archive target compresses, generated from
+/// `seed` (a smooth field plus Gaussian noise).
+tensor::Tensor corpus_seed_tensor(std::uint64_t seed);
+
+/// Reads `tests/corpus/<family>/<name>` from the source tree's checked-in
+/// fuzz corpus. Throws std::runtime_error when the file is missing.
+std::string read_corpus_seed(const std::string& family,
+                             const std::string& name);
 
 /// The full built-in decode-hardening suite: dctchop/partial/triangle
 /// archives (v3 strict, v2 legacy-tolerant) plus the Huffman/RLE/

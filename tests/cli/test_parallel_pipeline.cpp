@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "baseline/chunk_entropy.hpp"
 #include "cli/archive.hpp"
+#include "cli/robustness_suite.hpp"
 #include "io/checksum.hpp"
 #include "io/error.hpp"
 #include "obs/metrics.hpp"
@@ -116,6 +118,59 @@ TEST(ParallelPipeline, FusedMatchesUnfusedBitwise) {
           compress_to_archive_bytes(input, spec, options);
       EXPECT_EQ(fused, unfused) << spec << " b=" << batch
                                 << " c=" << channels;
+    }
+  }
+}
+
+TEST(ParallelPipeline, GoldenV4SeedsReproducedByEveryWriter) {
+  // The checked-in v4 fuzz seeds pin the container bytes: each is
+  // rebuilt from its spec, input seed, chunk size and entropy mode
+  // through every writer entry point, at two pool sizes.
+  const struct {
+    const char* file;
+    const char* spec;
+    std::uint64_t seed;
+    std::size_t chunk_bytes;
+    baseline::ChunkEntropy entropy;
+  } seeds[] = {
+      {"seed_archive_dctchop_v4_raw.bin", "dctchop:cf=4,block=8", 15, 96,
+       baseline::ChunkEntropy::kRaw},
+      {"seed_archive_partial_v4_auto.bin", "partial:cf=4,block=8,s=2", 16,
+       128, baseline::ChunkEntropy::kAuto},
+      {"seed_archive_triangle_v4_huffman.bin", "triangle:cf=4,block=8", 17,
+       80, baseline::ChunkEntropy::kHuffman},
+      {"seed_archive_dctchop_v4_packed.bin", "dctchop:cf=4,block=8", 18, 64,
+       baseline::ChunkEntropy::kPacked},
+  };
+  for (const std::size_t pool_size : {std::size_t{1}, std::size_t{4}}) {
+    Context::Options ctx_options;
+    ctx_options.threads = pool_size;
+    ctx_options.own_pool = true;
+    const Context ctx(ctx_options);
+    for (const auto& s : seeds) {
+      const std::string golden = read_corpus_seed("archive", s.file);
+      const Tensor input = corpus_seed_tensor(s.seed);
+      const ArchiveWriteOptions options{.chunk_bytes = s.chunk_bytes,
+                                        .entropy = s.entropy};
+      const std::string label =
+          std::string(s.file) + " pool=" + std::to_string(pool_size);
+      EXPECT_EQ(serialize_archive(
+                    compress_to_archive(input, s.spec, nullptr, ctx), options,
+                    ctx),
+                golden)
+          << "serialize_archive " << label;
+      EXPECT_EQ(compress_to_archive_bytes(input, s.spec, options, nullptr, ctx),
+                golden)
+          << "compress_to_archive_bytes " << label;
+      std::string reused = "stale";
+      compress_to_archive_bytes(input, s.spec, options, nullptr, ctx, reused);
+      EXPECT_EQ(reused, golden) << "compress_to_archive_bytes(out) " << label;
+      std::ostringstream stream;
+      EXPECT_EQ(compress_to_stream(input, s.spec, stream, options, nullptr,
+                                   ctx),
+                golden.size())
+          << label;
+      EXPECT_EQ(stream.str(), golden) << "compress_to_stream " << label;
     }
   }
 }
