@@ -1,8 +1,7 @@
 // Measured (wall-clock) throughput of the chunked v4 archive pipeline:
-// encode/decode GB/s against the thread count, the chunk-size sweep, and
-// the v3-vs-v4 single-thread encode comparison that guards the "raw
-// chunking costs nothing" claim. Writes BENCH_pipeline.json (override
-// with --json=PATH) for the CI artifact.
+// encode/decode GB/s against the thread count and the chunk-size sweep.
+// Writes BENCH_pipeline.json (override with --json=PATH) for the CI
+// artifact.
 //
 // The memory section (this binary links the aic_memprobe operator
 // new/delete replacement) additionally measures steady-state heap
@@ -39,7 +38,6 @@
 
 namespace {
 
-using aic::cli::Archive;
 using aic::cli::ArchiveWriteOptions;
 using aic::tensor::Shape;
 using aic::tensor::Tensor;
@@ -201,22 +199,6 @@ int main(int argc, char** argv) {
   }
   json += "\n  ],\n";
 
-  // ---- v3 vs v4 single-thread encode (container overhead guard) ------
-  const aic::Context ctx1 = session(1);
-  const Archive archive =
-      aic::cli::compress_to_archive(input, kSpec, nullptr, ctx1);
-  const double v3_s = best_seconds(
-      reps, [&] { (void)aic::cli::serialize_archive(archive, 3u, ctx1); });
-  const double v4_s = best_seconds(reps, [&] {
-    (void)aic::cli::serialize_archive(archive, ArchiveWriteOptions{}, ctx1);
-  });
-  std::cout << "== 1-thread container serialize: v3 "
-            << gbps(input_bytes, v3_s) << " GB/s, v4 "
-            << gbps(input_bytes, v4_s) << " GB/s\n";
-  json += "  \"serialize_1t_v3_gbps\": " +
-          std::to_string(gbps(input_bytes, v3_s)) + ",\n";
-  json += "  \"serialize_1t_v4_gbps\": " +
-          std::to_string(gbps(input_bytes, v4_s)) + ",\n";
   const double speedup = roundtrip_8t > 0.0 ? roundtrip_1t / roundtrip_8t : 0.0;
   json += "  \"roundtrip_speedup_8t_vs_1t\": " + std::to_string(speedup) + "\n}\n";
   std::cout << "== roundtrip speedup 8t vs 1t: " << speedup << "x\n";

@@ -39,7 +39,8 @@ int main() {
   std::size_t raw_bytes = 0, stored_bytes = 0;
   for (std::size_t i = 0; i < dataset.train.size(); ++i) {
     const cli::Archive archive = cli::compress_to_archive(
-        dataset.train[i].input, kCf, 8, core::TransformKind::kDct2, false);
+        dataset.train[i].input,
+        "dctchop:cf=" + std::to_string(kCf) + ",block=8,transform=dct");
     const std::string path =
         (dir / ("batch" + std::to_string(i) + ".aicz")).string();
     cli::save_archive(archive, path);

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -59,9 +63,8 @@ void append(std::string& out, T value) {
   out.append(raw, sizeof(T));
 }
 
-/// The header fields shared by v2 and v3 (everything between the
-/// version/CRC block and the payload), as one byte string so v3 can
-/// checksum it as a unit.
+/// The header fields shared by every version (everything between the
+/// version/CRC block and the payload or chunk geometry).
 std::string serialize_header_fields(const Archive& archive) {
   std::string out;
   const std::uint8_t kind = archive.subdivision > 1 ? kKindPartial
@@ -83,8 +86,8 @@ std::string serialize_header_fields(const Archive& archive) {
   return out;
 }
 
-/// Parses the shared v2/v3 header fields into `archive`, validating
-/// every field with a typed diagnostic.
+/// Parses the shared header fields into `archive`, validating every
+/// field with a typed diagnostic.
 void parse_header_fields(io::ByteReader& reader, Archive& archive) {
   const std::uint8_t kind = reader.read<std::uint8_t>("codec kind");
   if (kind > kKindPartial) {
@@ -134,6 +137,33 @@ void parse_header_fields(io::ByteReader& reader, Archive& archive) {
   archive.original_shape = Shape::bchw(dims[0], dims[1], dims[2], dims[3]);
   archive.config.height = dims[2];
   archive.config.width = dims[3];
+}
+
+/// Reads the magic and version words every container starts with and
+/// returns the version (range-checked).
+std::uint32_t read_prologue(io::ByteReader& reader) {
+  if (reader.read_bytes(sizeof(kMagic), "magic") !=
+      std::string_view(kMagic, sizeof(kMagic))) {
+    raise_corrupt(CorruptKind::kBadMagic, "archive: bad magic");
+  }
+  const std::uint32_t version = reader.read<std::uint32_t>("version");
+  if (version < 2 || version > kArchiveVersion) {
+    raise_corrupt(CorruptKind::kBadVersion,
+                  "archive: found version " + std::to_string(version) +
+                      ", supported versions 2.." +
+                      std::to_string(kArchiveVersion));
+  }
+  return version;
+}
+
+void check_header_crc(std::string_view header, std::uint32_t stored) {
+  const std::uint32_t computed = io::crc32c(header.data(), header.size());
+  if (computed != stored) {
+    raise_corrupt(CorruptKind::kChecksumMismatch,
+                  "archive: header CRC mismatch (stored " +
+                      std::to_string(stored) + ", computed " +
+                      std::to_string(computed) + ")");
+  }
 }
 
 std::string codec_spec_impl(const Archive& archive, bool pin_shape) {
@@ -188,17 +218,17 @@ void validate_payload_shape(const Shape& got, const Shape& expected) {
   }
 }
 
-// --- v4 chunked container -------------------------------------------------
+// --- v4 writer ------------------------------------------------------------
 
 /// Any chunk budget above this is treated as hostile (the chunk table
 /// and per-chunk staging are sized from it).
 constexpr std::uint64_t kMaxChunkBytes = std::uint64_t{1} << 30;
 
-/// Encoded-chunk batch budget of the streaming reader: chunks are
-/// staged and decoded in runs of roughly this many encoded bytes, which
-/// bounds resident memory while keeping enough chunks per batch to feed
-/// the pool.
-constexpr std::size_t kStreamBatchBytes = std::size_t{4} << 20;
+/// Input bytes per transform step of the compress producer. Each step's
+/// packed bytes are chunked and encoded while the next step transforms,
+/// so a step stays small against the payload while still handing the
+/// codec's own parallel_for whole planes to split.
+constexpr std::size_t kGroupInputBytes = std::size_t{1} << 20;
 
 struct EncodedChunk {
   std::string bytes;
@@ -216,51 +246,230 @@ EncodedChunk encode_one_chunk(std::string_view plain,
   return chunk;
 }
 
-void require_writable_chunk_bytes(std::size_t chunk_bytes) {
-  if (chunk_bytes == 0 || chunk_bytes > kMaxChunkBytes) {
-    throw std::invalid_argument(
-        "archive: chunk_bytes must be in [1, " +
-        std::to_string(kMaxChunkBytes) + "], got " +
-        std::to_string(chunk_bytes));
-  }
+void write_or_throw(std::ostream& out, const char* data, std::size_t len) {
+  out.write(data, static_cast<std::streamsize>(len));
+  if (!out) throw std::runtime_error("archive: stream write failed");
 }
 
-/// Assembles the final v4 byte stream into `out` (cleared first) from
-/// the shared header fields, the chunk geometry, and the already-encoded
-/// chunks (in payload order). Reuses `out`'s capacity across calls.
-void assemble_v4_into(const std::string& header_fields,
-                      std::uint64_t payload_len, std::uint64_t chunk_bytes,
-                      const std::vector<EncodedChunk>& chunks,
-                      std::string& out) {
-  std::string header = header_fields;
-  append<std::uint64_t>(header, payload_len);
-  append<std::uint64_t>(header, chunk_bytes);
-  append<std::uint32_t>(header, static_cast<std::uint32_t>(chunks.size()));
-  std::size_t encoded_total = 0;
-  for (const EncodedChunk& chunk : chunks) {
-    append<std::uint64_t>(header, chunk.bytes.size());
-    append<std::uint32_t>(header, chunk.crc);
-    encoded_total += chunk.bytes.size();
-  }
+/// Where a v4 write goes: bytes are appended in order, and `patch`
+/// overwrites already-written bytes at an offset from the archive start.
+/// `reserve` (optional) announces the raw-entropy archive size.
+struct ArchiveSink {
+  std::function<void(const char*, std::size_t)> write;
+  std::function<void(std::size_t, std::string_view)> patch;
+  std::function<void(std::size_t)> reserve;
+};
 
+/// Builds the archive into `out` (cleared first), reusing its capacity.
+ArchiveSink string_sink(std::string& out) {
   out.clear();
-  out.reserve(sizeof(kMagic) + 12 + header.size() + encoded_total);
-  out.append(kMagic, sizeof(kMagic));
-  append<std::uint32_t>(out, 4);
-  append<std::uint32_t>(out, static_cast<std::uint32_t>(header.size()));
-  append<std::uint32_t>(out, io::crc32c(header.data(), header.size()));
-  out += header;
-  for (const EncodedChunk& chunk : chunks) out += chunk.bytes;
+  return {[&out](const char* data, std::size_t len) { out.append(data, len); },
+          [&out](std::size_t offset, std::string_view bytes) {
+            std::memcpy(out.data() + offset, bytes.data(), bytes.size());
+          },
+          [&out](std::size_t len) { out.reserve(len); }};
 }
 
-/// Per-context recycler for the whole-Tensor staging the fused and
-/// streaming writers churn through (plane groups and their packed
-/// outputs). Tensor owns its storage as a plain vector<float>, so
-/// recycling works at whole-tensor granularity: acquire() returns a
-/// cached tensor of exactly the requested shape when one exists (the
-/// caller reshapes otherwise) and release() caches up to kMaxEntries
-/// tensors. Lives in Context::Slot::kArchiveScratch so steady-state
-/// compress calls on one session stop allocating plane staging.
+/// Writes straight into a seekable stream whose archive starts at `start`.
+ArchiveSink stream_sink(std::ostream& out, std::ostream::pos_type start) {
+  return {[&out](const char* data, std::size_t len) {
+            write_or_throw(out, data, len);
+          },
+          [&out, start](std::size_t offset, std::string_view bytes) {
+            const std::ostream::pos_type end = out.tellp();
+            out.seekp(start + static_cast<std::ostream::off_type>(offset));
+            write_or_throw(out, bytes.data(), bytes.size());
+            out.seekp(end);
+          },
+          nullptr};
+}
+
+/// Runs `write` against `out`: through a stream sink when `out` can seek
+/// back for the patch, else into a string written in one go. Returns the
+/// archive size.
+std::size_t write_to_stream(
+    std::ostream& out,
+    const std::function<std::size_t(const ArchiveSink&)>& write) {
+  const std::ostream::pos_type start = out.tellp();
+  std::size_t written = 0;
+  if (start == std::ostream::pos_type(-1)) {
+    std::string bytes;
+    written = write(string_sink(bytes));
+    write_or_throw(out, bytes.data(), bytes.size());
+  } else {
+    written = write(stream_sink(out, start));
+  }
+  out.flush();
+  if (!out) throw std::runtime_error("archive: stream write failed");
+  return written;
+}
+
+/// The one v4 writer. Payload bytes arrive in order through feed() and
+/// fill pooled chunk buffers; each full chunk is entropy coded and CRC'd
+/// on the session pool while the producer keeps going, with at most two
+/// chunks per pool worker in flight (one encoding, one queued behind it).
+/// Encoded chunks reach the sink in index order, behind a prologue whose
+/// header CRC and chunk table are zero until finish() patches them.
+/// Chunk boundaries depend only on (payload_len, chunk_bytes) and each
+/// encoding only on its chunk's bytes, so the archive is bitwise
+/// identical for every pool size and schedule.
+class ChunkPipeline {
+ public:
+  ChunkPipeline(const Archive& fields, const Shape& packed_shape,
+                const ArchiveWriteOptions& options, const Context& ctx,
+                const ArchiveSink& sink)
+      : sink_(sink),
+        buffers_(ctx.buffer_pool()),
+        pool_(ctx.pool_handle()),
+        max_in_flight_(2 * pool_->size()),
+        entropy_(options.entropy),
+        chunk_bytes_(options.chunk_bytes),
+        payload_len_(io::serialized_tensor_bytes(packed_shape)) {
+    if (chunk_bytes_ == 0 || chunk_bytes_ > kMaxChunkBytes) {
+      throw std::invalid_argument(
+          "archive: chunk_bytes must be in [1, " +
+          std::to_string(kMaxChunkBytes) + "], got " +
+          std::to_string(chunk_bytes_));
+    }
+    chunk_count_ = (payload_len_ + chunk_bytes_ - 1) / chunk_bytes_;
+    header_ = serialize_header_fields(fields);
+    append<std::uint64_t>(header_, payload_len_);
+    append<std::uint64_t>(header_, chunk_bytes_);
+    append<std::uint32_t>(header_, static_cast<std::uint32_t>(chunk_count_));
+    table_offset_ = header_.size();
+    header_.append(12 * chunk_count_, '\0');
+
+    std::string prologue(kMagic, sizeof(kMagic));
+    append<std::uint32_t>(prologue, 4);
+    append<std::uint32_t>(prologue, static_cast<std::uint32_t>(header_.size()));
+    append<std::uint32_t>(prologue, 0);  // header CRC, patched by finish()
+    written_ = prologue.size() + header_.size();
+    if (sink_.reserve) sink_.reserve(written_ + payload_len_ + chunk_count_);
+    sink_.write(prologue.data(), prologue.size());
+    sink_.write(header_.data(), header_.size());
+    const std::string tensor_header = io::serialize_tensor_header(packed_shape);
+    feed(tensor_header.data(), tensor_header.size());
+  }
+
+  ChunkPipeline(const ChunkPipeline&) = delete;
+  ChunkPipeline& operator=(const ChunkPipeline&) = delete;
+
+  ~ChunkPipeline() {
+    // An unwinding producer must not free buffers that tasks still read.
+    for (InFlight& chunk : in_flight_) {
+      if (chunk.encoded.valid()) chunk.encoded.wait();
+    }
+  }
+
+  /// Appends the next `len` payload bytes.
+  void feed(const void* data, std::size_t len) {
+    const char* bytes = static_cast<const char*>(data);
+    while (len > 0) {
+      if (fill_ == 0) {
+        if (submitted_ == chunk_count_) {
+          throw std::logic_error("archive: producer overran the payload");
+        }
+        chunk_len_ = std::min(chunk_bytes_,
+                              payload_len_ - submitted_ * chunk_bytes_);
+        current_ = buffers_.acquire(chunk_len_);
+      }
+      const std::size_t take = std::min(len, chunk_len_ - fill_);
+      std::memcpy(current_.data() + fill_, bytes, take);
+      fill_ += take;
+      bytes += take;
+      len -= take;
+      if (fill_ == chunk_len_) submit();
+    }
+  }
+
+  /// Drains every chunk, patches the header, and returns the archive
+  /// size.
+  std::size_t finish() {
+    if (submitted_ != chunk_count_) {
+      throw std::logic_error("archive: producer ended before the payload");
+    }
+    while (!in_flight_.empty()) retire();
+    std::string patch;
+    append<std::uint32_t>(patch, io::crc32c(header_.data(), header_.size()));
+    patch += header_;
+    sink_.patch(12, patch);  // the header CRC word, then the header
+    obs::PipelineMetrics::global().record_archive_layout(chunk_bytes_,
+                                                         chunk_count_);
+    return written_;
+  }
+
+  std::uint64_t encode_ns() const {
+    return encode_ns_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct InFlight {
+    runtime::BufferPool::Buffer plain;
+    std::future<EncodedChunk> encoded;
+  };
+
+  void submit() {
+    while (in_flight_.size() >= max_in_flight_) retire();
+    const std::string_view plain(current_.data(), fill_);
+    std::future<EncodedChunk> encoded =
+        pool_->submit([plain, entropy = entropy_, ns = &encode_ns_] {
+          runtime::Timer timer;
+          EncodedChunk chunk = encode_one_chunk(plain, entropy);
+          ns->fetch_add(timer.nanos(), std::memory_order_relaxed);
+          return chunk;
+        });
+    in_flight_.push_back({std::move(current_), std::move(encoded)});
+    fill_ = 0;
+    ++submitted_;
+    // Stream out whatever has already finished, in order.
+    while (!in_flight_.empty() &&
+           in_flight_.front().encoded.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready) {
+      retire();
+    }
+  }
+
+  /// Waits for the oldest chunk, records its table row, and writes it.
+  void retire() {
+    const EncodedChunk chunk = in_flight_.front().encoded.get();
+    const std::uint64_t len = chunk.bytes.size();
+    char* row = header_.data() + table_offset_ + 12 * retired_;
+    std::memcpy(row, &len, sizeof(len));
+    std::memcpy(row + sizeof(len), &chunk.crc, sizeof(chunk.crc));
+    sink_.write(chunk.bytes.data(), chunk.bytes.size());
+    written_ += chunk.bytes.size();
+    ++retired_;
+    in_flight_.pop_front();
+  }
+
+  const ArchiveSink& sink_;
+  runtime::BufferPool& buffers_;
+  const std::shared_ptr<runtime::ThreadPool> pool_;
+  const std::size_t max_in_flight_;
+  const baseline::ChunkEntropy entropy_;
+  const std::size_t chunk_bytes_;
+  const std::size_t payload_len_;
+  std::size_t chunk_count_ = 0;
+  std::string header_;  // header fields + geometry + chunk table
+  std::size_t table_offset_ = 0;
+  runtime::BufferPool::Buffer current_;
+  std::size_t chunk_len_ = 0;
+  std::size_t fill_ = 0;
+  std::size_t submitted_ = 0;
+  std::size_t retired_ = 0;
+  std::size_t written_ = 0;
+  std::deque<InFlight> in_flight_;
+  std::atomic<std::uint64_t> encode_ns_{0};
+};
+
+/// Per-context recycler for the whole-Tensor staging the compress
+/// producer churns through (plane groups and their packed outputs).
+/// Tensor owns its storage as a plain vector<float>, so recycling works
+/// at whole-tensor granularity: acquire() returns a cached tensor of
+/// exactly the requested shape when one exists (an empty one otherwise)
+/// and release() caches up to kMaxEntries tensors. Lives in
+/// Context::Slot::kArchiveScratch so steady-state compress calls on one
+/// session stop allocating plane staging.
 class ArchiveScratch {
  public:
   static constexpr std::size_t kMaxEntries = 8;
@@ -294,15 +503,138 @@ std::shared_ptr<ArchiveScratch> archive_scratch(const Context& ctx) {
                [] { return std::make_shared<ArchiveScratch>(); }));
 }
 
-/// Parsed + fully validated v4 geometry: everything deserialize needs
-/// before any payload byte is touched. Shared by the in-memory and
-/// streaming readers so both enforce the identical validation order.
+/// Fills every Archive field except `packed` from the codec the factory
+/// built for `codec_spec`. The archive header only represents the chop
+/// family; recover the parameters from the concrete codec instance.
+Archive classify_codec(const core::Codec& codec, const std::string& codec_spec,
+                       const Shape& input_shape) {
+  Archive archive;
+  archive.original_shape = input_shape;
+  if (const auto* dc = dynamic_cast<const core::DctChopCodec*>(&codec)) {
+    archive.config = dc->config();
+  } else if (const auto* sg =
+                 dynamic_cast<const core::TriangleCodec*>(&codec)) {
+    archive.triangle = true;
+    archive.config = sg->config();
+  } else if (const auto* ps =
+                 dynamic_cast<const core::PartialSerialCodec*>(&codec)) {
+    archive.subdivision = ps->config().subdivision;
+    archive.config = {.height = ps->config().height,
+                      .width = ps->config().width,
+                      .cf = ps->config().cf,
+                      .block = ps->config().block,
+                      .transform = ps->config().transform};
+  } else {
+    throw std::invalid_argument("archive: codec \"" + codec_spec +
+                                "\" has no archive representation (use the "
+                                "dctchop / triangle / partial family)");
+  }
+  // Shape-agnostic specs leave height/width zero; the header pins them
+  // to the tensor that is actually being compressed.
+  archive.config.height = input_shape[2];
+  archive.config.width = input_shape[3];
+  return archive;
+}
+
+/// The compress producer splices per-plane-group packed bytes into the
+/// payload at the offsets a full-tensor compress would use. That is only
+/// sound when the codec treats planes independently; the chop family
+/// does, and this predicate guards the assumption against future codec
+/// kinds.
+bool plane_separable_codec(const core::Codec& codec, const Shape& input_shape,
+                           const Shape& packed_shape) {
+  return packed_shape.rank() == 4 && packed_shape[0] == input_shape[0] &&
+         packed_shape[1] == input_shape[1] &&
+         codec.compressed_shape(
+             Shape::bchw(1, 1, input_shape[2], input_shape[3])) ==
+             Shape::bchw(1, 1, packed_shape[2], packed_shape[3]);
+}
+
+/// Feeds an already compressed archive through the pipeline.
+std::size_t serialize_to(const Archive& archive,
+                         const ArchiveWriteOptions& options,
+                         const Context& ctx, const ArchiveSink& sink) {
+  AIC_TRACE_SCOPE("pipeline.serialize");
+  ChunkPipeline pipeline(archive, archive.packed.shape(), options, ctx, sink);
+  pipeline.feed(archive.packed.raw(), archive.packed.size_bytes());
+  return pipeline.finish();
+}
+
+/// The compress producer: transforms `input` in plane groups of about
+/// kGroupInputBytes and appends each group's packed bytes to the
+/// pipeline, so the chunk encodes of one group overlap the transform of
+/// the next. A codec that does not treat planes independently transforms
+/// the whole tensor as one group.
+std::size_t compress_to(const Tensor& input, const std::string& codec_spec,
+                        const ArchiveWriteOptions& options,
+                        core::CodecPtr* codec_out, const Context& ctx,
+                        const ArchiveSink& sink) {
+  if (input.shape().rank() != 4) {
+    throw std::invalid_argument("archive: input must be BCHW");
+  }
+  AIC_TRACE_SCOPE("pipeline.compress");
+  runtime::Timer wall_timer;
+  const core::CodecPtr codec = core::make_codec(codec_spec, ctx);
+  const Archive fields = classify_codec(*codec, codec_spec, input.shape());
+  if (codec_out != nullptr) *codec_out = codec;
+
+  const Shape& shape = input.shape();
+  const Shape packed_shape = codec->compressed_shape(shape);
+  const std::size_t planes = shape[0] * shape[1];
+  const std::size_t plane_bytes = shape[2] * shape[3] * sizeof(float);
+  const std::size_t group_planes =
+      plane_separable_codec(*codec, shape, packed_shape) && plane_bytes > 0
+          ? std::max<std::size_t>(
+                1, std::min(planes, kGroupInputBytes / plane_bytes))
+          : planes;
+
+  Context::PoolScope pool_scope(ctx);
+  const std::shared_ptr<ArchiveScratch> scratch = archive_scratch(ctx);
+  ChunkPipeline pipeline(fields, packed_shape, options, ctx, sink);
+  std::uint64_t transform_ns = 0;
+  for (std::size_t p0 = 0; p0 < planes; p0 += group_planes) {
+    const std::size_t g = std::min(group_planes, planes - p0);
+    const Shape group_shape =
+        g == planes ? shape : Shape::bchw(1, g, shape[2], shape[3]);
+    Tensor packed = scratch->acquire(codec->compressed_shape(group_shape));
+    runtime::Timer timer;
+    if (g == planes) {
+      codec->compress_into(input, packed);
+    } else {
+      Tensor group = scratch->acquire(group_shape);
+      if (group.shape() != group_shape) group = Tensor(group_shape);
+      std::memcpy(group.raw(),
+                  reinterpret_cast<const char*>(input.raw()) + p0 * plane_bytes,
+                  g * plane_bytes);
+      codec->compress_into(group, packed);
+      scratch->release(std::move(group));
+    }
+    transform_ns += timer.nanos();
+    pipeline.feed(packed.raw(), packed.size_bytes());
+    scratch->release(std::move(packed));
+  }
+  const std::size_t written = pipeline.finish();
+  obs::PipelineMetrics::global().record_overlap(
+      transform_ns, pipeline.encode_ns(), wall_timer.nanos());
+  return written;
+}
+
+// --- v4 reader ------------------------------------------------------------
+
+/// Encoded-chunk batch budget of the istream reader: chunks are staged
+/// and decoded in runs of roughly this many encoded bytes, which bounds
+/// resident memory while keeping enough chunks per batch to feed the
+/// pool.
+constexpr std::size_t kStreamBatchBytes = std::size_t{4} << 20;
+
 struct ChunkEntry {
   std::uint64_t offset = 0;  // into the encoded region
   std::uint64_t encoded_len = 0;
   std::uint32_t crc = 0;
 };
 
+/// Parsed + fully validated v4 geometry: everything the decode needs
+/// before any payload byte is touched.
 struct V4Layout {
   Archive archive;  // packed left empty until the payload decodes
   Shape expected_shape;
@@ -319,15 +651,7 @@ struct V4Layout {
 /// allocation or a quadratic scan.
 V4Layout parse_v4_layout(std::string_view header, std::uint32_t header_crc,
                          const Context& ctx) {
-  const std::uint32_t computed_header =
-      io::crc32c(header.data(), header.size());
-  if (computed_header != header_crc) {
-    raise_corrupt(CorruptKind::kChecksumMismatch,
-                  "archive: header CRC mismatch (stored " +
-                      std::to_string(header_crc) + ", computed " +
-                      std::to_string(computed_header) + ")");
-  }
-
+  check_header_crc(header, header_crc);
   V4Layout layout;
   io::ByteReader header_reader(header, "archive header");
   parse_header_fields(header_reader, layout.archive);
@@ -415,749 +739,83 @@ void decode_one_chunk(const V4Layout& layout, std::size_t i,
   obs::PipelineMetrics::global().record_chunk_decoded(timer.nanos());
 }
 
-/// Number of leading chunks that jointly cover the serialized tensor
-/// header — the prefix a reader must decode before the result tensor
-/// can be shaped and the remaining chunks can land in its storage.
-std::size_t prefix_chunk_count(const V4Layout& layout) {
-  const std::size_t prefix_len = std::min<std::size_t>(
-      layout.payload_len, io::max_tensor_header_bytes());
-  return (prefix_len + layout.chunk_bytes - 1) / layout.chunk_bytes;
-}
+/// Where a v4 decode gets its encoded chunks: `read(offset, len)` returns
+/// the next `len` encoded bytes, which start `offset` bytes into the
+/// encoded region and directly follow the previous read; the view stays
+/// valid until the next call. A decode batch (one parallel_for) spans at
+/// most `batch_bytes` encoded bytes, or one chunk.
+struct ChunkSource {
+  std::uint64_t batch_bytes;
+  std::function<std::string_view(std::uint64_t, std::uint64_t)> read;
+};
 
-/// Parses + validates the tensor header at the front of the decoded
-/// payload prefix, then returns the result tensor with the prefix's
-/// float bytes already copied in. Preserves the rejection order of the
-/// historical payload-string path: tensor_io's typed errors first, then
-/// the archive-level shape agreement check.
-Tensor tensor_from_prefix(const V4Layout& layout, std::string_view prefix,
-                          std::size_t* header_bytes_out) {
-  const io::TensorHeaderInfo info =
-      io::parse_tensor_header(prefix, layout.payload_len);
-  validate_payload_shape(info.shape, layout.expected_shape);
-  Tensor packed(info.shape);
-  std::memcpy(packed.raw(), prefix.data() + info.header_bytes,
-              prefix.size() - info.header_bytes);
-  *header_bytes_out = info.header_bytes;
-  return packed;
-}
-
-/// Decodes a validated chunk stream straight into the result tensor's
-/// storage. The leading chunks covering the serialized tensor header go
-/// serially through a small pooled bounce buffer (the header must be
-/// parsed before the tensor exists); every remaining chunk then
-/// CRC-checks and entropy-decodes in parallel directly into the float
-/// storage — the payload never materializes as a separate heap string.
-Archive decode_v4_payload(V4Layout&& layout, std::string_view encoded,
-                          const Context& ctx) {
-  AIC_TRACE_SCOPE("pipeline.deserialize_v4");
-  Context::PoolScope pool_scope(ctx);
-  const std::size_t chunk_bytes = layout.chunk_bytes;
-  const std::size_t prefix_chunks = prefix_chunk_count(layout);
-  const std::size_t bounce_len = std::min<std::size_t>(
-      layout.payload_len, prefix_chunks * chunk_bytes);
-
-  runtime::BufferPool::Buffer bounce = ctx.buffer_pool().acquire(bounce_len);
-  for (std::size_t i = 0; i < prefix_chunks; ++i) {
-    const ChunkEntry& entry = layout.table[i];
-    decode_one_chunk(layout, i,
-                     encoded.substr(entry.offset, entry.encoded_len),
-                     bounce.data() + i * chunk_bytes);
-  }
-  std::size_t header_bytes = 0;
-  Tensor packed = tensor_from_prefix(
-      layout, std::string_view(bounce.data(), bounce_len), &header_bytes);
-  bounce.reset();
-
-  char* tensor_bytes = reinterpret_cast<char*>(packed.raw());
-  runtime::parallel_for(
-      prefix_chunks, layout.chunk_count,
-      [&](std::size_t i) {
-        const ChunkEntry& entry = layout.table[i];
-        decode_one_chunk(layout, i,
-                         encoded.substr(entry.offset, entry.encoded_len),
-                         tensor_bytes + (i * chunk_bytes - header_bytes));
-      },
-      {.grain = 1});
-  obs::PipelineMetrics::global().record_archive_layout(chunk_bytes,
-                                                       layout.chunk_count);
-  layout.archive.packed = std::move(packed);
-  return std::move(layout.archive);
-}
-
-/// Parses everything after the version field of a v4 stream. Every
-/// header-derived quantity is validated BEFORE any payload-sized
-/// allocation (parse_v4_layout); chunk CRC checks and entropy decode
-/// then fan out across the pool into disjoint slices of the result
-/// tensor (decode_v4_payload).
-Archive deserialize_archive_v4(io::ByteReader& reader, const Context& ctx) {
-  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
-  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
-  const std::string_view header =
-      reader.read_bytes(header_len, "header fields");
-  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
-  const std::string_view encoded = reader.rest();
-  if (encoded.size() != layout.encoded_total) {
-    raise_corrupt(CorruptKind::kTruncated,
-                  "archive: chunk table promises " +
-                      std::to_string(layout.encoded_total) +
-                      " encoded bytes, stream has " +
-                      std::to_string(encoded.size()));
-  }
-  return decode_v4_payload(std::move(layout), encoded, ctx);
-}
-
-/// Unfused v4 write: chunk the serialized payload and fan the entropy
-/// encode + CRC over the pool. grain=1 because each iteration is a whole
-/// chunk (tens of KiB) — the parallel_for heuristics handle small chunk
-/// counts without oversubscribing. The payload stages in a pooled
-/// buffer, so steady-state calls on one session reuse the same slab.
-std::string serialize_archive_v4(const Archive& archive,
-                                 const ArchiveWriteOptions& options,
-                                 const Context& ctx) {
-  AIC_TRACE_SCOPE("pipeline.serialize_v4");
-  require_writable_chunk_bytes(options.chunk_bytes);
-  const std::string header_fields = serialize_header_fields(archive);
-  const std::string tensor_header =
-      io::serialize_tensor_header(archive.packed.shape());
-  const std::size_t payload_len =
-      tensor_header.size() + archive.packed.size_bytes();
-  runtime::BufferPool::Buffer payload = ctx.buffer_pool().acquire(payload_len);
-  std::memcpy(payload.data(), tensor_header.data(), tensor_header.size());
-  std::memcpy(payload.data() + tensor_header.size(), archive.packed.raw(),
-              archive.packed.size_bytes());
-  const std::size_t chunk_bytes = options.chunk_bytes;
-  const std::size_t chunk_count = (payload_len + chunk_bytes - 1) / chunk_bytes;
-
-  // Route the fan-out onto this session's pool.
-  Context::PoolScope pool_scope(ctx);
-  std::vector<EncodedChunk> chunks(chunk_count);
-  runtime::parallel_for(
-      0, chunk_count,
-      [&](std::size_t i) {
-        const std::size_t lo = i * chunk_bytes;
-        const std::size_t hi = std::min(payload_len, lo + chunk_bytes);
-        chunks[i] = encode_one_chunk(
-            std::string_view(payload.data() + lo, hi - lo), options.entropy);
-      },
-      {.grain = 1});
-  obs::PipelineMetrics::global().record_archive_layout(chunk_bytes,
-                                                       chunk_count);
-  std::string out;
-  assemble_v4_into(header_fields, payload_len, chunk_bytes, chunks, out);
-  return out;
-}
-
-/// Fills every Archive field except `packed` from the codec the factory
-/// built for `codec_spec`. The archive header only represents the chop
-/// family; recover the parameters from the concrete codec instance.
-Archive classify_codec(const core::Codec& codec, const std::string& codec_spec,
-                       const Shape& input_shape) {
-  Archive archive;
-  archive.original_shape = input_shape;
-  if (const auto* dc = dynamic_cast<const core::DctChopCodec*>(&codec)) {
-    archive.config = dc->config();
-  } else if (const auto* sg =
-                 dynamic_cast<const core::TriangleCodec*>(&codec)) {
-    archive.triangle = true;
-    archive.config = sg->config();
-  } else if (const auto* ps =
-                 dynamic_cast<const core::PartialSerialCodec*>(&codec)) {
-    archive.subdivision = ps->config().subdivision;
-    archive.config = {.height = ps->config().height,
-                      .width = ps->config().width,
-                      .cf = ps->config().cf,
-                      .block = ps->config().block,
-                      .transform = ps->config().transform};
-  } else {
-    throw std::invalid_argument("archive: codec \"" + codec_spec +
-                                "\" has no archive representation (use the "
-                                "dctchop / triangle / partial family)");
-  }
-  // Shape-agnostic specs leave height/width zero; the header pins them
-  // to the tensor that is actually being compressed.
-  archive.config.height = input_shape[2];
-  archive.config.width = input_shape[3];
-  return archive;
-}
-
-/// The fused/streaming writers splice per-plane(-group) packed bytes
-/// into the payload at the offsets a full-tensor compress would use.
-/// That is only sound when the codec treats planes independently; the
-/// chop family does, and this predicate guards the assumption against
-/// future codec kinds.
-bool plane_separable_codec(const core::Codec& codec, const Shape& input_shape,
-                           const Shape& packed_shape) {
-  const std::size_t planes = input_shape[0] * input_shape[1];
-  return planes > 1 && packed_shape.rank() == 4 &&
-         packed_shape[0] == input_shape[0] &&
-         packed_shape[1] == input_shape[1] &&
-         codec.compressed_shape(
-             Shape::bchw(1, 1, input_shape[2], input_shape[3])) ==
-             Shape::bchw(1, 1, packed_shape[2], packed_shape[3]);
-}
-
-void write_or_throw(std::ostream& out, const char* data, std::size_t len) {
-  out.write(data, static_cast<std::streamsize>(len));
-  if (!out) throw std::runtime_error("archive: stream write failed");
-}
-
-}  // namespace
-
-std::string archive_codec_spec(const Archive& archive) {
-  return codec_spec_impl(archive, true);
-}
-
-core::CodecPtr make_archive_codec(const Archive& archive,
-                                  const Context& ctx) {
-  return core::make_codec(archive_codec_spec(archive), ctx);
-}
-
-ArchiveWriteOptions ArchiveWriteOptions::from_context(const Context& ctx) {
-  ArchiveWriteOptions options;
-  options.version = ctx.archive_version();
-  if (ctx.chunk_bytes() != 0) options.chunk_bytes = ctx.chunk_bytes();
-  options.entropy = static_cast<baseline::ChunkEntropy>(ctx.entropy_mode());
-  return options;
-}
-
-Archive compress_to_archive(const Tensor& input, const std::string& codec_spec,
-                            core::CodecPtr* codec_out, const Context& ctx) {
-  if (input.shape().rank() != 4) {
-    throw std::invalid_argument("archive: input must be BCHW");
-  }
-  const core::CodecPtr codec = core::make_codec(codec_spec, ctx);
-  Archive archive = classify_codec(*codec, codec_spec, input.shape());
-  archive.packed = codec->compress(input);
-  if (codec_out != nullptr) *codec_out = codec;
-  return archive;
-}
-
-Archive compress_to_archive(const Tensor& input, std::size_t cf,
-                            std::size_t block,
-                            core::TransformKind transform, bool triangle,
-                            core::CodecPtr* codec_out, const Context& ctx) {
-  std::ostringstream spec;
-  spec << (triangle ? "triangle" : "dctchop") << ":cf=" << cf
-       << ",block=" << block
-       << ",transform=" << core::transform_name(transform);
-  return compress_to_archive(input, spec.str(), codec_out, ctx);
-}
-
-std::string serialize_archive(const Archive& archive,
-                              std::uint32_t version, const Context& ctx) {
-  ArchiveWriteOptions options;
-  options.version = version;
-  return serialize_archive(archive, options, ctx);
-}
-
-std::string serialize_archive(const Archive& archive,
-                              const ArchiveWriteOptions& options,
-                              const Context& ctx) {
-  const std::uint32_t version = options.version;
-  if (version < 2 || version > kArchiveVersion) {
-    throw std::invalid_argument("archive: cannot write version " +
-                                std::to_string(version));
-  }
-  if (version == 4) return serialize_archive_v4(archive, options, ctx);
-  const std::string header = serialize_header_fields(archive);
-  const std::string payload = io::serialize_tensor(archive.packed);
-
-  std::string out;
-  out.reserve(sizeof(kMagic) + 16 + header.size() + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  append<std::uint32_t>(out, version);
-  if (version >= 3) {
-    // v3 integrity block: header length + independent CRC32C over the
-    // header fields and the payload, so any flipped bit anywhere in the
-    // stream is caught before (or instead of) deeper parsing.
-    append<std::uint32_t>(out, static_cast<std::uint32_t>(header.size()));
-    append<std::uint32_t>(out, io::crc32c(header.data(), header.size()));
-    append<std::uint32_t>(out, io::crc32c(payload.data(), payload.size()));
-  }
-  out += header;
-  out += payload;
-  return out;
-}
-
-void compress_to_archive_bytes(const Tensor& input,
-                               const std::string& codec_spec,
-                               const ArchiveWriteOptions& options,
-                               core::CodecPtr* codec_out, const Context& ctx,
-                               std::string& out) {
-  if (input.shape().rank() != 4) {
-    throw std::invalid_argument("archive: input must be BCHW");
-  }
-  if (options.version != 4) {
-    Archive archive = compress_to_archive(input, codec_spec, codec_out, ctx);
-    out = serialize_archive(archive, options, ctx);
-    return;
-  }
-  require_writable_chunk_bytes(options.chunk_bytes);
-
-  AIC_TRACE_SCOPE("pipeline.fused_compress");
-  runtime::Timer wall_timer;
-  const core::CodecPtr codec = core::make_codec(codec_spec, ctx);
-  Archive archive = classify_codec(*codec, codec_spec, input.shape());
-  if (codec_out != nullptr) *codec_out = codec;
-
-  const Shape packed_shape = codec->compressed_shape(input.shape());
-  const std::size_t planes = input.shape()[0] * input.shape()[1];
-  const bool plane_separable =
-      plane_separable_codec(*codec, input.shape(), packed_shape);
-
-  const std::string tensor_header = io::serialize_tensor_header(packed_shape);
-  const std::size_t payload_len = io::serialized_tensor_bytes(packed_shape);
-  const std::size_t chunk_bytes = options.chunk_bytes;
-  const std::size_t chunk_count = (payload_len + chunk_bytes - 1) / chunk_bytes;
-
-  runtime::BufferPool::Buffer payload = ctx.buffer_pool().acquire(payload_len);
-  std::memcpy(payload.data(), tensor_header.data(), tensor_header.size());
-
-  // Durable handle for the submit loop (pins the pool against a
-  // concurrent Context::set_process_threads); the PoolScope routes the
-  // codec's internal parallel_for fan-out onto the same session pool.
-  const std::shared_ptr<runtime::ThreadPool> pool_handle = ctx.pool_handle();
-  runtime::ThreadPool& pool = *pool_handle;
-  Context::PoolScope pool_scope(ctx);
-  const std::shared_ptr<ArchiveScratch> scratch = archive_scratch(ctx);
-  std::vector<std::future<EncodedChunk>> futures(chunk_count);
-  std::size_t next_chunk = 0;
-  std::atomic<std::uint64_t> encode_ns{0};
-  // Submits every chunk fully covered by the first `high_water` payload
-  // bytes. Encode tasks enter the FIFO queue ahead of the next group's
-  // transform tasks, so both kinds of work stay in flight with no phase
-  // barrier; collecting the futures in index order keeps the output
-  // byte-identical for every pool size.
-  const auto submit_ready = [&](std::size_t high_water) {
-    while (next_chunk < chunk_count) {
-      const std::size_t lo = next_chunk * chunk_bytes;
-      const std::size_t hi = std::min(payload_len, lo + chunk_bytes);
-      if (hi > high_water) break;
-      futures[next_chunk] = pool.submit([&, lo, hi] {
-        runtime::Timer timer;
-        EncodedChunk chunk = encode_one_chunk(
-            std::string_view(payload.data() + lo, hi - lo), options.entropy);
-        encode_ns.fetch_add(timer.nanos(), std::memory_order_relaxed);
-        return chunk;
-      });
-      ++next_chunk;
-    }
-  };
-
-  std::uint64_t transform_ns = 0;
-  if (plane_separable) {
-    const std::size_t in_plane_bytes =
-        input.shape()[2] * input.shape()[3] * sizeof(float);
-    const std::size_t packed_plane_bytes =
-        packed_shape[2] * packed_shape[3] * sizeof(float);
-    const std::size_t group_count = std::min<std::size_t>(planes, 4);
-    const std::size_t group_planes = (planes + group_count - 1) / group_count;
-    const Shape full_group_shape =
-        Shape::bchw(1, group_planes, input.shape()[2], input.shape()[3]);
-    Tensor group = scratch->acquire(full_group_shape);
-    Tensor packed_group =
-        scratch->acquire(codec->compressed_shape(full_group_shape));
-    for (std::size_t p0 = 0; p0 < planes; p0 += group_planes) {
-      const std::size_t g = std::min(group_planes, planes - p0);
-      const Shape group_shape =
-          Shape::bchw(1, g, input.shape()[2], input.shape()[3]);
-      runtime::Timer timer;
-      if (group.shape() != group_shape) {
-        scratch->release(std::move(group));
-        group = Tensor(group_shape);
-      }
-      std::memcpy(group.raw(),
-                  reinterpret_cast<const char*>(input.raw()) +
-                      p0 * in_plane_bytes,
-                  g * in_plane_bytes);
-      codec->compress_into(group, packed_group);
-      std::memcpy(payload.data() + tensor_header.size() +
-                      p0 * packed_plane_bytes,
-                  packed_group.raw(), g * packed_plane_bytes);
-      transform_ns += timer.nanos();
-      submit_ready(tensor_header.size() + (p0 + g) * packed_plane_bytes);
-    }
-    scratch->release(std::move(group));
-    scratch->release(std::move(packed_group));
-  } else {
-    // Single plane (or a non-separable codec): the transform itself is
-    // already parallel via sandwich_banded, and the chunk encode fans
-    // out right after — the two stages just don't interleave.
-    runtime::Timer timer;
-    Tensor packed = scratch->acquire(packed_shape);
-    codec->compress_into(input, packed);
-    std::memcpy(payload.data() + tensor_header.size(), packed.raw(),
-                packed.size_bytes());
-    scratch->release(std::move(packed));
-    transform_ns = timer.nanos();
-  }
-  submit_ready(payload_len);
-
-  std::vector<EncodedChunk> chunks(chunk_count);
-  for (std::size_t i = 0; i < chunk_count; ++i) chunks[i] = futures[i].get();
-
-  obs::PipelineMetrics::global().record_archive_layout(chunk_bytes,
-                                                       chunk_count);
-  obs::PipelineMetrics::global().record_overlap(
-      transform_ns, encode_ns.load(std::memory_order_relaxed),
-      wall_timer.nanos());
-  assemble_v4_into(serialize_header_fields(archive), payload_len, chunk_bytes,
-                   chunks, out);
-}
-
-std::string compress_to_archive_bytes(const Tensor& input,
-                                      const std::string& codec_spec,
-                                      const ArchiveWriteOptions& options,
-                                      core::CodecPtr* codec_out,
-                                      const Context& ctx) {
-  std::string out;
-  compress_to_archive_bytes(input, codec_spec, options, codec_out, ctx, out);
-  return out;
-}
-
-std::size_t compress_to_stream(const Tensor& input,
-                               const std::string& codec_spec,
-                               std::ostream& out,
-                               const ArchiveWriteOptions& options,
-                               core::CodecPtr* codec_out, const Context& ctx) {
-  if (input.shape().rank() != 4) {
-    throw std::invalid_argument("archive: input must be BCHW");
-  }
-  const std::ostream::pos_type start = out.tellp();
-  if (options.version != 4 || start == std::ostream::pos_type(-1)) {
-    // v2/v3 have no chunk table to patch, and a non-seekable sink cannot
-    // be back-patched at all: buffer in memory and write once.
-    const std::string bytes =
-        compress_to_archive_bytes(input, codec_spec, options, codec_out, ctx);
-    write_or_throw(out, bytes.data(), bytes.size());
-    out.flush();
-    if (!out) throw std::runtime_error("archive: stream write failed");
-    return bytes.size();
-  }
-  require_writable_chunk_bytes(options.chunk_bytes);
-
-  AIC_TRACE_SCOPE("pipeline.stream_compress");
-  runtime::Timer wall_timer;
-  const core::CodecPtr codec = core::make_codec(codec_spec, ctx);
-  Archive archive = classify_codec(*codec, codec_spec, input.shape());
-  if (codec_out != nullptr) *codec_out = codec;
-
-  const Shape packed_shape = codec->compressed_shape(input.shape());
-  const std::size_t planes = input.shape()[0] * input.shape()[1];
-  const bool plane_separable =
-      plane_separable_codec(*codec, input.shape(), packed_shape);
-  const std::string tensor_header = io::serialize_tensor_header(packed_shape);
-  const std::size_t payload_len = io::serialized_tensor_bytes(packed_shape);
-  const std::size_t chunk_bytes = options.chunk_bytes;
-  const std::size_t chunk_count = (payload_len + chunk_bytes - 1) / chunk_bytes;
-  const std::string header_fields = serialize_header_fields(archive);
-  const std::size_t header_len = header_fields.size() + 20 + 12 * chunk_count;
-
-  {
-    // Prologue with a zero header CRC and a zeroed chunk table, both
-    // back-patched once every chunk's (length, CRC) is known.
-    std::string prologue;
-    prologue.reserve(16 + header_len);
-    prologue.append(kMagic, sizeof(kMagic));
-    append<std::uint32_t>(prologue, 4);
-    append<std::uint32_t>(prologue, static_cast<std::uint32_t>(header_len));
-    append<std::uint32_t>(prologue, 0);
-    prologue += header_fields;
-    append<std::uint64_t>(prologue, payload_len);
-    append<std::uint64_t>(prologue, chunk_bytes);
-    append<std::uint32_t>(prologue, static_cast<std::uint32_t>(chunk_count));
-    prologue.append(12 * chunk_count, '\0');
-    write_or_throw(out, prologue.data(), prologue.size());
-  }
-
-  const std::shared_ptr<runtime::ThreadPool> pool_handle = ctx.pool_handle();
-  runtime::ThreadPool& pool = *pool_handle;
-  Context::PoolScope pool_scope(ctx);
-  const std::shared_ptr<ArchiveScratch> scratch = archive_scratch(ctx);
-
-  std::vector<ChunkEntry> table(chunk_count);
-  std::uint64_t encoded_total = 0;
-  std::size_t next_chunk = 0;
-  std::uint64_t transform_ns = 0;
-  std::atomic<std::uint64_t> encode_ns{0};
-
-  // Encodes every chunk fully covered by payload bytes [0, high_water)
-  // across the pool, then writes them to the sink in index order. All
-  // futures drain before return, so the caller may slide its window.
-  const auto drain_ready = [&](const char* window, std::size_t window_base,
-                               std::size_t high_water) {
-    std::vector<std::future<EncodedChunk>> batch;
-    const std::size_t first = next_chunk;
-    while (next_chunk < chunk_count) {
-      const std::size_t lo = next_chunk * chunk_bytes;
-      const std::size_t hi = std::min(payload_len, lo + chunk_bytes);
-      if (hi > high_water) break;
-      batch.push_back(pool.submit([&, window, window_base, lo, hi] {
-        runtime::Timer timer;
-        EncodedChunk chunk = encode_one_chunk(
-            std::string_view(window + (lo - window_base), hi - lo),
-            options.entropy);
-        encode_ns.fetch_add(timer.nanos(), std::memory_order_relaxed);
-        return chunk;
-      }));
-      ++next_chunk;
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const EncodedChunk chunk = batch[i].get();
-      table[first + i].encoded_len = chunk.bytes.size();
-      table[first + i].crc = chunk.crc;
-      encoded_total += chunk.bytes.size();
-      write_or_throw(out, chunk.bytes.data(), chunk.bytes.size());
-    }
-  };
-
-  if (plane_separable) {
-    const std::size_t in_plane_bytes =
-        input.shape()[2] * input.shape()[3] * sizeof(float);
-    const std::size_t packed_plane_bytes =
-        packed_shape[2] * packed_shape[3] * sizeof(float);
-    const Shape plane_shape =
-        Shape::bchw(1, 1, input.shape()[2], input.shape()[3]);
-    // Worst-case window: a carry of less than one chunk, plus one
-    // plane's packed bytes, plus the tensor header ahead of plane 0.
-    runtime::BufferPool::Buffer window = ctx.buffer_pool().acquire(
-        chunk_bytes + packed_plane_bytes + tensor_header.size());
-    Tensor plane = scratch->acquire(plane_shape);
-    if (plane.shape() != plane_shape) plane = Tensor(plane_shape);
-    Tensor packed_plane =
-        scratch->acquire(codec->compressed_shape(plane_shape));
-    std::size_t window_base = 0;
-    std::size_t produced = tensor_header.size();
-    std::memcpy(window.data(), tensor_header.data(), tensor_header.size());
-    for (std::size_t p = 0; p < planes; ++p) {
-      runtime::Timer timer;
-      std::memcpy(plane.raw(),
-                  reinterpret_cast<const char*>(input.raw()) +
-                      p * in_plane_bytes,
-                  in_plane_bytes);
-      codec->compress_into(plane, packed_plane);
-      std::memcpy(window.data() + (produced - window_base),
-                  packed_plane.raw(), packed_plane_bytes);
-      transform_ns += timer.nanos();
-      produced += packed_plane_bytes;
-      drain_ready(window.data(), window_base, produced);
-      const std::size_t drained_end =
-          std::min(next_chunk * chunk_bytes, produced);
-      if (drained_end > window_base) {
-        std::memmove(window.data(),
-                     window.data() + (drained_end - window_base),
-                     produced - drained_end);
-        window_base = drained_end;
-      }
-    }
-    drain_ready(window.data(), window_base, produced);  // ragged tail
-    scratch->release(std::move(plane));
-    scratch->release(std::move(packed_plane));
-  } else {
-    // Single plane or a non-separable codec: the transform needs the
-    // whole tensor anyway, so stage the payload once (pooled) and stream
-    // the encoded chunks — the archive string never materializes.
-    runtime::BufferPool::Buffer payload =
-        ctx.buffer_pool().acquire(payload_len);
-    std::memcpy(payload.data(), tensor_header.data(), tensor_header.size());
-    runtime::Timer timer;
-    Tensor packed = scratch->acquire(packed_shape);
-    codec->compress_into(input, packed);
-    std::memcpy(payload.data() + tensor_header.size(), packed.raw(),
-                packed.size_bytes());
-    scratch->release(std::move(packed));
-    transform_ns = timer.nanos();
-    drain_ready(payload.data(), 0, payload_len);
-  }
-
-  // Back-patch the real header CRC and chunk table.
-  std::string header = header_fields;
-  append<std::uint64_t>(header, payload_len);
-  append<std::uint64_t>(header, chunk_bytes);
-  append<std::uint32_t>(header, static_cast<std::uint32_t>(chunk_count));
-  for (const ChunkEntry& entry : table) {
-    append<std::uint64_t>(header, entry.encoded_len);
-    append<std::uint32_t>(header, entry.crc);
-  }
-  const std::uint32_t header_crc = io::crc32c(header.data(), header.size());
-  const std::ostream::pos_type end = out.tellp();
-  out.seekp(start + std::ostream::off_type(12));
-  char crc_raw[sizeof(header_crc)];
-  std::memcpy(crc_raw, &header_crc, sizeof(header_crc));
-  write_or_throw(out, crc_raw, sizeof(crc_raw));
-  out.seekp(start +
-            static_cast<std::ostream::off_type>(16 + header_fields.size() +
-                                                20));
-  write_or_throw(out, header.data() + header_fields.size() + 20,
-                 12 * chunk_count);
-  out.seekp(end);
-  out.flush();
-  if (!out) throw std::runtime_error("archive: stream write failed");
-  obs::PipelineMetrics::global().record_archive_layout(chunk_bytes,
-                                                       chunk_count);
-  obs::PipelineMetrics::global().record_overlap(
-      transform_ns, encode_ns.load(std::memory_order_relaxed),
-      wall_timer.nanos());
-  return 16 + header_len + static_cast<std::size_t>(encoded_total);
-}
-
-Archive decompress_from_stream(std::istream& in, const Context& ctx) {
-  // Mirror deserialize_archive's validation order (and its typed
-  // rejections) while holding only O(header + batch + tensor) memory.
-  char prologue[16];
-  in.read(prologue, sizeof(prologue));
-  const std::size_t got = static_cast<std::size_t>(in.gcount());
-  std::uint32_t version = 0;
-  std::uint32_t header_len = 0;
-  std::uint32_t header_crc = 0;
-  {
-    io::ByteReader reader(std::string_view(prologue, got), "archive");
-    reader.require(sizeof(kMagic), "magic");
-    if (std::memcmp(prologue, kMagic, sizeof(kMagic)) != 0) {
-      raise_corrupt(CorruptKind::kBadMagic, "archive: bad magic");
-    }
-    (void)reader.read_bytes(sizeof(kMagic), "magic");
-    version = reader.read<std::uint32_t>("version");
-    if (version < 2 || version > kArchiveVersion) {
-      raise_corrupt(CorruptKind::kBadVersion,
-                    "archive: found version " + std::to_string(version) +
-                        ", supported versions 2.." +
-                        std::to_string(kArchiveVersion));
-    }
-    if (version == 4) {
-      header_len = reader.read<std::uint32_t>("header size");
-      header_crc = reader.read<std::uint32_t>("header CRC");
-    }
-  }
-  if (version != 4) {
-    // v2/v3 are unchunked — there is no streamable structure. Reassemble
-    // the full byte string and delegate to the in-memory reader.
-    std::string bytes(prologue, got);
-    bytes.append(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    return deserialize_archive(bytes, ctx);
-  }
-
-  // Incremental header read: memory stays proportional to the bytes the
-  // stream actually holds, so a hostile length cannot force a giant
-  // allocation.
-  std::string header;
-  header.reserve(std::min<std::size_t>(header_len, kStreamBatchBytes));
-  {
-    runtime::BufferPool::Buffer stage = ctx.buffer_pool().acquire(
-        std::min<std::size_t>(header_len, kStreamBatchBytes));
-    std::size_t remaining = header_len;
-    while (remaining > 0) {
-      const std::size_t step = std::min(remaining, stage.capacity());
-      in.read(stage.data(), static_cast<std::streamsize>(step));
-      const std::size_t n = static_cast<std::size_t>(in.gcount());
-      if (n == 0) break;
-      header.append(stage.data(), n);
-      remaining -= n;
-    }
-  }
-  if (header.size() != header_len) {
-    raise_corrupt(CorruptKind::kTruncated,
-                  "archive: truncated reading header fields (need " +
-                      std::to_string(header_len) + " bytes, have " +
-                      std::to_string(header.size()) + ")");
-  }
-  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
-
-  AIC_TRACE_SCOPE("pipeline.stream_decompress");
+/// The one v4 decode core. The leading chunks covering the serialized
+/// tensor header decode serially through a small pooled bounce buffer
+/// (the header must be parsed before the tensor exists; tensor_io's typed
+/// errors come before the archive-level shape check). Every remaining
+/// chunk then CRC-checks and entropy-decodes in parallel, batch by batch,
+/// directly into the tensor's storage — the payload never materializes
+/// as a separate heap string.
+Archive decode_v4(V4Layout&& layout, const ChunkSource& source,
+                  const Context& ctx) {
+  AIC_TRACE_SCOPE("pipeline.decode_v4");
   Context::PoolScope pool_scope(ctx);
   const std::size_t chunk_bytes = layout.chunk_bytes;
   const std::size_t chunk_count = layout.chunk_count;
-  const std::size_t prefix_chunks = prefix_chunk_count(layout);
-  const std::size_t bounce_len = std::min<std::size_t>(
-      layout.payload_len, prefix_chunks * chunk_bytes);
-
-  std::uint64_t consumed = 0;
-  const auto read_encoded = [&](char* dest, std::size_t len) {
-    in.read(dest, static_cast<std::streamsize>(len));
-    const std::size_t n = static_cast<std::size_t>(in.gcount());
-    consumed += n;
-    if (n != len) {
-      raise_corrupt(CorruptKind::kTruncated,
-                    "archive: chunk table promises " +
-                        std::to_string(layout.encoded_total) +
-                        " encoded bytes, stream has " +
-                        std::to_string(consumed));
-    }
+  const auto chunk_in = [&](std::string_view run, std::size_t first,
+                            std::size_t i) {
+    const ChunkEntry& entry = layout.table[i];
+    return run.substr(entry.offset - layout.table[first].offset,
+                      entry.encoded_len);
+  };
+  const auto read_run = [&](std::size_t first, std::size_t last) {
+    const std::uint64_t end =
+        last < chunk_count ? layout.table[last].offset : layout.encoded_total;
+    return source.read(layout.table[first].offset,
+                       end - layout.table[first].offset);
   };
 
-  // Stage + decode the header-covering prefix serially (the tensor
-  // cannot exist until its serialized header has been decoded).
+  const std::size_t prefix_len = std::min<std::size_t>(
+      layout.payload_len, io::max_tensor_header_bytes());
+  const std::size_t prefix_chunks =
+      (prefix_len + chunk_bytes - 1) / chunk_bytes;
+  const std::size_t bounce_len = std::min<std::size_t>(
+      layout.payload_len, prefix_chunks * chunk_bytes);
   std::size_t header_bytes = 0;
   Tensor packed;
   {
-    std::uint64_t prefix_encoded = 0;
-    for (std::size_t i = 0; i < prefix_chunks; ++i) {
-      prefix_encoded += layout.table[i].encoded_len;
-    }
-    runtime::BufferPool::Buffer stage =
-        ctx.buffer_pool().acquire(prefix_encoded);
-    read_encoded(stage.data(), static_cast<std::size_t>(prefix_encoded));
     runtime::BufferPool::Buffer bounce = ctx.buffer_pool().acquire(bounce_len);
+    const std::string_view run = read_run(0, prefix_chunks);
     for (std::size_t i = 0; i < prefix_chunks; ++i) {
-      const ChunkEntry& entry = layout.table[i];
-      decode_one_chunk(
-          layout, i,
-          std::string_view(stage.data() + entry.offset, entry.encoded_len),
-          bounce.data() + i * chunk_bytes);
+      decode_one_chunk(layout, i, chunk_in(run, 0, i),
+                       bounce.data() + i * chunk_bytes);
     }
-    packed = tensor_from_prefix(
-        layout, std::string_view(bounce.data(), bounce_len), &header_bytes);
+    const io::TensorHeaderInfo info = io::parse_tensor_header(
+        std::string_view(bounce.data(), bounce_len), layout.payload_len);
+    validate_payload_shape(info.shape, layout.expected_shape);
+    packed = Tensor(info.shape);
+    header_bytes = info.header_bytes;
+    std::memcpy(packed.raw(), bounce.data() + header_bytes,
+                bounce_len - header_bytes);
   }
-  char* tensor_bytes = reinterpret_cast<char*>(packed.raw());
 
-  // Remaining chunks in bounded batches: read a run of encoded chunks
-  // into one pooled stage, then CRC + decode the run in parallel
-  // straight into the tensor's storage.
-  std::size_t next = prefix_chunks;
-  while (next < chunk_count) {
-    std::size_t batch_end = next;
-    std::uint64_t batch_bytes = 0;
-    while (batch_end < chunk_count) {
-      const std::uint64_t len = layout.table[batch_end].encoded_len;
-      if (batch_end > next && batch_bytes + len > kStreamBatchBytes) break;
-      batch_bytes += len;
-      ++batch_end;
+  char* tensor_bytes = reinterpret_cast<char*>(packed.raw());
+  for (std::size_t first = prefix_chunks; first < chunk_count;) {
+    std::size_t last = first + 1;
+    std::uint64_t batch = layout.table[first].encoded_len;
+    while (last < chunk_count &&
+           batch + layout.table[last].encoded_len <= source.batch_bytes) {
+      batch += layout.table[last++].encoded_len;
     }
-    runtime::BufferPool::Buffer stage =
-        ctx.buffer_pool().acquire(static_cast<std::size_t>(batch_bytes));
-    read_encoded(stage.data(), static_cast<std::size_t>(batch_bytes));
-    const std::uint64_t base = layout.table[next].offset;
+    const std::string_view run = read_run(first, last);
     runtime::parallel_for(
-        next, batch_end,
+        first, last,
         [&](std::size_t i) {
-          const ChunkEntry& entry = layout.table[i];
-          decode_one_chunk(
-              layout, i,
-              std::string_view(stage.data() + (entry.offset - base),
-                               entry.encoded_len),
-              tensor_bytes + (i * chunk_bytes - header_bytes));
+          decode_one_chunk(layout, i, chunk_in(run, first, i),
+                           tensor_bytes + (i * chunk_bytes - header_bytes));
         },
         {.grain = 1});
-    next = batch_end;
-  }
-
-  // Reject trailing bytes the way the in-memory reader does.
-  {
-    char probe = 0;
-    in.read(&probe, 1);
-    if (in.gcount() == 1) {
-      std::uint64_t extra = 1;
-      char sink[4096];
-      while (in.read(sink, sizeof(sink)), in.gcount() > 0) {
-        extra += static_cast<std::uint64_t>(in.gcount());
-      }
-      raise_corrupt(CorruptKind::kTruncated,
-                    "archive: chunk table promises " +
-                        std::to_string(layout.encoded_total) +
-                        " encoded bytes, stream has " +
-                        std::to_string(layout.encoded_total + extra));
-    }
+    first = last;
   }
   obs::PipelineMetrics::global().record_archive_layout(chunk_bytes,
                                                        chunk_count);
@@ -1165,90 +823,19 @@ Archive decompress_from_stream(std::istream& in, const Context& ctx) {
   return std::move(layout.archive);
 }
 
-ArchiveProbe probe_archive(std::string_view bytes) {
-  io::ByteReader reader(bytes, "archive");
-  reader.require(sizeof(kMagic), "magic");
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    raise_corrupt(CorruptKind::kBadMagic, "archive: bad magic");
-  }
-  (void)reader.read_bytes(sizeof(kMagic), "magic");
-  ArchiveProbe probe;
-  probe.version = reader.read<std::uint32_t>("version");
-  if (probe.version < 2 || probe.version > kArchiveVersion) {
-    raise_corrupt(CorruptKind::kBadVersion,
-                  "archive: found version " + std::to_string(probe.version) +
-                      ", supported versions 2.." +
-                      std::to_string(kArchiveVersion));
-  }
-  if (probe.version == 2) {
-    // v2 has no length fields: the payload is whatever follows the
-    // fixed-size header (1+1+2+2+2+4 + 4*8 = 44 bytes).
-    reader.require(44, "header fields");
-    probe.payload_len = reader.remaining() - 44;
-    return probe;
-  }
-  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
-  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
-  if (probe.version == 3) {
-    (void)reader.read<std::uint32_t>("payload CRC");
-  }
-  const std::string_view header =
-      reader.read_bytes(header_len, "header fields");
-  const std::uint32_t computed = io::crc32c(header.data(), header.size());
-  if (computed != header_crc) {
-    raise_corrupt(CorruptKind::kChecksumMismatch,
-                  "archive: header CRC mismatch (stored " +
-                      std::to_string(header_crc) + ", computed " +
-                      std::to_string(computed) + ")");
-  }
-  if (probe.version == 3) {
-    probe.payload_len = reader.remaining();
-    return probe;
-  }
-  Archive scratch;
-  io::ByteReader header_reader(header, "archive header");
-  parse_header_fields(header_reader, scratch);
-  probe.payload_len = static_cast<std::size_t>(
-      header_reader.read<std::uint64_t>("payload length"));
-  probe.chunk_bytes = static_cast<std::size_t>(
-      header_reader.read<std::uint64_t>("chunk size"));
-  probe.chunk_count = header_reader.read<std::uint32_t>("chunk count");
-  return probe;
-}
-
-Archive deserialize_archive(std::string_view bytes, const Context& ctx) {
-  io::ByteReader reader(bytes, "archive");
-  reader.require(sizeof(kMagic), "magic");
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    raise_corrupt(CorruptKind::kBadMagic, "archive: bad magic");
-  }
-  (void)reader.read_bytes(sizeof(kMagic), "magic");
-  const std::uint32_t version = reader.read<std::uint32_t>("version");
-  if (version < 2 || version > kArchiveVersion) {
-    raise_corrupt(CorruptKind::kBadVersion,
-                  "archive: found version " + std::to_string(version) +
-                      ", supported versions 2.." +
-                      std::to_string(kArchiveVersion));
-  }
-
-  if (version == 4) return deserialize_archive_v4(reader, ctx);
-
+/// Reads and decodes a v2/v3 container after its prologue (read-only:
+/// no writer emits these versions).
+Archive deserialize_legacy(io::ByteReader& reader, std::uint32_t version,
+                           const Context& ctx) {
   Archive archive;
-  if (version >= 3) {
+  if (version == 3) {
     const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
     const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
     const std::uint32_t payload_crc =
         reader.read<std::uint32_t>("payload CRC");
     const std::string_view header =
         reader.read_bytes(header_len, "header fields");
-    const std::uint32_t computed_header =
-        io::crc32c(header.data(), header.size());
-    if (computed_header != header_crc) {
-      raise_corrupt(CorruptKind::kChecksumMismatch,
-                    "archive: header CRC mismatch (stored " +
-                        std::to_string(header_crc) + ", computed " +
-                        std::to_string(computed_header) + ")");
-    }
+    check_header_crc(header, header_crc);
     io::ByteReader header_reader(header, "archive header");
     parse_header_fields(header_reader, archive);
     if (header_reader.remaining() != 0) {
@@ -1266,8 +853,7 @@ Archive deserialize_archive(std::string_view bytes, const Context& ctx) {
                         std::to_string(computed_payload) + ")");
     }
   } else {
-    // v2 (pre-checksum) archives written before the integrity block
-    // stay readable; their payloads are validated structurally only.
+    // v2 (pre-checksum) payloads are validated structurally only.
     parse_header_fields(reader, archive);
   }
   archive.packed = io::deserialize_tensor(reader.rest());
@@ -1276,12 +862,206 @@ Archive deserialize_archive(std::string_view bytes, const Context& ctx) {
   return archive;
 }
 
+/// Raises the truncation error of an encoded region whose size disagrees
+/// with the chunk table's total.
+[[noreturn]] void raise_encoded_size(std::uint64_t promised,
+                                     std::uint64_t have) {
+  raise_corrupt(CorruptKind::kTruncated,
+                "archive: chunk table promises " + std::to_string(promised) +
+                    " encoded bytes, stream has " + std::to_string(have));
+}
+
+}  // namespace
+
+std::string archive_codec_spec(const Archive& archive) {
+  return codec_spec_impl(archive, true);
+}
+
+core::CodecPtr make_archive_codec(const Archive& archive,
+                                  const Context& ctx) {
+  return core::make_codec(archive_codec_spec(archive), ctx);
+}
+
+ArchiveWriteOptions ArchiveWriteOptions::from_context(const Context& ctx) {
+  ArchiveWriteOptions options;
+  if (ctx.chunk_bytes() != 0) options.chunk_bytes = ctx.chunk_bytes();
+  options.entropy = static_cast<baseline::ChunkEntropy>(ctx.entropy_mode());
+  return options;
+}
+
+Archive compress_to_archive(const Tensor& input, const std::string& codec_spec,
+                            core::CodecPtr* codec_out, const Context& ctx) {
+  if (input.shape().rank() != 4) {
+    throw std::invalid_argument("archive: input must be BCHW");
+  }
+  const core::CodecPtr codec = core::make_codec(codec_spec, ctx);
+  Archive archive = classify_codec(*codec, codec_spec, input.shape());
+  archive.packed = codec->compress(input);
+  if (codec_out != nullptr) *codec_out = codec;
+  return archive;
+}
+
+std::string serialize_archive(const Archive& archive,
+                              const ArchiveWriteOptions& options,
+                              const Context& ctx) {
+  std::string out;
+  serialize_to(archive, options, ctx, string_sink(out));
+  return out;
+}
+
+void compress_to_archive_bytes(const Tensor& input,
+                               const std::string& codec_spec,
+                               const ArchiveWriteOptions& options,
+                               core::CodecPtr* codec_out, const Context& ctx,
+                               std::string& out) {
+  compress_to(input, codec_spec, options, codec_out, ctx, string_sink(out));
+}
+
+std::string compress_to_archive_bytes(const Tensor& input,
+                                      const std::string& codec_spec,
+                                      const ArchiveWriteOptions& options,
+                                      core::CodecPtr* codec_out,
+                                      const Context& ctx) {
+  std::string out;
+  compress_to_archive_bytes(input, codec_spec, options, codec_out, ctx, out);
+  return out;
+}
+
+std::size_t compress_to_stream(const Tensor& input,
+                               const std::string& codec_spec,
+                               std::ostream& out,
+                               const ArchiveWriteOptions& options,
+                               core::CodecPtr* codec_out, const Context& ctx) {
+  return write_to_stream(out, [&](const ArchiveSink& sink) {
+    return compress_to(input, codec_spec, options, codec_out, ctx, sink);
+  });
+}
+
+Archive deserialize_archive(std::string_view bytes, const Context& ctx) {
+  io::ByteReader reader(bytes, "archive");
+  const std::uint32_t version = read_prologue(reader);
+  if (version != 4) return deserialize_legacy(reader, version, ctx);
+
+  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
+  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
+  const std::string_view header =
+      reader.read_bytes(header_len, "header fields");
+  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
+  const std::string_view encoded = reader.rest();
+  if (encoded.size() != layout.encoded_total) {
+    raise_encoded_size(layout.encoded_total, encoded.size());
+  }
+  const ChunkSource view{
+      std::numeric_limits<std::uint64_t>::max(),
+      [encoded](std::uint64_t offset, std::uint64_t len) {
+        return encoded.substr(offset, len);
+      }};
+  return decode_v4(std::move(layout), view, ctx);
+}
+
+Archive decompress_from_stream(std::istream& in, const Context& ctx) {
+  char prologue[16];
+  in.read(prologue, sizeof(prologue));
+  const std::size_t got = static_cast<std::size_t>(in.gcount());
+  io::ByteReader reader(std::string_view(prologue, got), "archive");
+  const std::uint32_t version = read_prologue(reader);
+  if (version != 4) {
+    // v2/v3 are unchunked — there is no streamable structure. Reassemble
+    // the full byte string and delegate to the in-memory reader.
+    std::string bytes(prologue, got);
+    bytes.append(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    return deserialize_archive(bytes, ctx);
+  }
+  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
+  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
+
+  // Incremental header read: memory stays proportional to the bytes the
+  // stream actually holds, so a hostile length cannot force a giant
+  // allocation.
+  std::string header;
+  while (header.size() < header_len) {
+    const std::size_t have = header.size();
+    const std::size_t step =
+        std::min<std::size_t>(header_len - have, kStreamBatchBytes);
+    header.resize(have + step);
+    in.read(header.data() + have, static_cast<std::streamsize>(step));
+    header.resize(have + static_cast<std::size_t>(in.gcount()));
+    if (header.size() < have + step) {
+      raise_corrupt(CorruptKind::kTruncated,
+                    "archive: truncated reading header fields (need " +
+                        std::to_string(header_len) + " bytes, have " +
+                        std::to_string(header.size()) + ")");
+    }
+  }
+  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
+
+  const std::uint64_t encoded_total = layout.encoded_total;
+  runtime::BufferPool::Buffer stage;
+  std::uint64_t consumed = 0;
+  const ChunkSource stream{
+      kStreamBatchBytes, [&](std::uint64_t, std::uint64_t len) {
+        stage.reset();
+        stage = ctx.buffer_pool().acquire(static_cast<std::size_t>(len));
+        in.read(stage.data(), static_cast<std::streamsize>(len));
+        consumed += static_cast<std::uint64_t>(in.gcount());
+        if (static_cast<std::uint64_t>(in.gcount()) != len) {
+          raise_encoded_size(encoded_total, consumed);
+        }
+        return std::string_view(stage.data(), static_cast<std::size_t>(len));
+      }};
+  Archive archive = decode_v4(std::move(layout), stream, ctx);
+
+  // Reject trailing bytes the way the in-memory reader does.
+  char sink[4096];
+  std::uint64_t extra = 0;
+  while (in.read(sink, sizeof(sink)), in.gcount() > 0) {
+    extra += static_cast<std::uint64_t>(in.gcount());
+  }
+  if (extra != 0) raise_encoded_size(encoded_total, encoded_total + extra);
+  return archive;
+}
+
+ArchiveProbe probe_archive(std::string_view bytes) {
+  io::ByteReader reader(bytes, "archive");
+  ArchiveProbe probe;
+  probe.version = read_prologue(reader);
+  if (probe.version == 2) {
+    // v2 has no length fields: the payload is whatever follows the
+    // fixed-size header (1+1+2+2+2+4 + 4*8 = 44 bytes).
+    reader.require(44, "header fields");
+    probe.payload_len = reader.remaining() - 44;
+    return probe;
+  }
+  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
+  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
+  if (probe.version == 3) {
+    (void)reader.read<std::uint32_t>("payload CRC");
+  }
+  const std::string_view header =
+      reader.read_bytes(header_len, "header fields");
+  check_header_crc(header, header_crc);
+  if (probe.version == 3) {
+    probe.payload_len = reader.remaining();
+    return probe;
+  }
+  Archive scratch;
+  io::ByteReader header_reader(header, "archive header");
+  parse_header_fields(header_reader, scratch);
+  probe.payload_len = static_cast<std::size_t>(
+      header_reader.read<std::uint64_t>("payload length"));
+  probe.chunk_bytes = static_cast<std::size_t>(
+      header_reader.read<std::uint64_t>("chunk size"));
+  probe.chunk_count = header_reader.read<std::uint32_t>("chunk count");
+  return probe;
+}
+
 void save_archive(const Archive& archive, const std::string& path) {
   std::ofstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("archive: cannot open " + path);
-  const std::string bytes = serialize_archive(archive);
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!file) throw std::runtime_error("archive: write failed: " + path);
+  write_to_stream(file, [&](const ArchiveSink& sink) {
+    return serialize_to(archive, {}, Context::process_default(), sink);
+  });
 }
 
 Archive load_archive(const std::string& path, const Context& ctx) {

@@ -22,7 +22,7 @@ inline constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
 
 /// On-disk compressed-tensor archive written by the aicomp CLI.
 ///
-/// v4 (chunked, the default):
+/// v4 (chunked; the only version written):
 ///
 ///   magic "AICZ" | u32 version | u32 header_len | u32 header_crc32c
 ///   | header fields (header_len bytes, covered by header_crc32c):
@@ -44,11 +44,18 @@ inline constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
 /// jointly cover the payload, and the table itself is covered by the
 /// header CRC.
 ///
+/// Every writer emits v4 through one chunk pipeline: payload bytes fill
+/// pooled chunk buffers in order, full chunks encode on the session pool
+/// while later planes are still transformed, and encoded chunks go to a
+/// string or seekable-stream sink in index order before the chunk table
+/// and header CRC are back-patched.
+///
 /// v3 (unchunked; magic | version | header_len | header_crc32c
-/// | payload_crc32c | header | payload) and v2 (no CRC block at all)
-/// remain readable and writable for compatibility. Decode rejects
-/// corrupt or truncated input of any version with a typed
-/// aic::io::CorruptStream before a wrong tensor can be reconstructed.
+/// | payload_crc32c | header | payload) and v2 (no CRC block at all) are
+/// read-only: nothing writes them any more, but existing archives still
+/// decode. Decode rejects corrupt or truncated input of any version with
+/// a typed aic::io::CorruptStream before a wrong tensor can be
+/// reconstructed.
 ///
 /// The header carries everything needed to rebuild the codec and the
 /// original shape, so decompression needs no side information.
@@ -80,50 +87,36 @@ Archive compress_to_archive(const tensor::Tensor& input,
                             core::CodecPtr* codec_out = nullptr,
                             const Context& ctx = Context::process_default());
 
-/// Convenience overload assembling the spec from the classic flags.
-Archive compress_to_archive(const tensor::Tensor& input, std::size_t cf,
-                            std::size_t block, core::TransformKind transform,
-                            bool triangle,
-                            core::CodecPtr* codec_out = nullptr,
-                            const Context& ctx = Context::process_default());
-
 /// Container-write knobs for serialize_archive /
 /// compress_to_archive_bytes.
 struct ArchiveWriteOptions {
-  /// 4 = chunked (default), 3 = unchunked CRC'd, 2 = legacy pre-CRC.
-  std::uint32_t version = kArchiveVersion;
-  /// v4 fixed chunk budget (plain payload bytes per chunk).
+  /// Fixed chunk budget (plain payload bytes per chunk).
   std::size_t chunk_bytes = kDefaultChunkBytes;
-  /// v4 per-chunk entropy coding. kRaw (default) keeps 1-thread encode
-  /// at v3 parity; kAuto picks the smallest of raw/packed/huffman per
+  /// Per-chunk entropy coding. kRaw (default) keeps 1-thread encode
+  /// cheapest; kAuto picks the smallest of raw/packed/huffman per
   /// chunk (opt-in: it trades encode time for size).
   baseline::ChunkEntropy entropy = baseline::ChunkEntropy::kRaw;
 
-  /// Write knobs seeded from a session's configuration: version from
-  /// ctx.archive_version(), chunk_bytes from ctx.chunk_bytes() (0 keeps
-  /// kDefaultChunkBytes), entropy from ctx.entropy_mode().
+  /// Write knobs seeded from a session's configuration: chunk_bytes from
+  /// ctx.chunk_bytes() (0 keeps kDefaultChunkBytes), entropy from
+  /// ctx.entropy_mode().
   static ArchiveWriteOptions from_context(const Context& ctx);
 };
 
-/// Serializes to the given container version. v4 fans per-chunk entropy
-/// coding and CRC computation across `ctx`'s thread pool with ordered
-/// reassembly (bitwise-identical output for every pool size).
-/// Unsupported versions throw std::invalid_argument.
+/// Serializes an already compressed archive: its packed tensor feeds the
+/// chunk pipeline, which encodes and CRCs chunks on `ctx`'s pool
+/// (bitwise-identical output for every pool size).
 std::string serialize_archive(const Archive& archive,
-                              std::uint32_t version = kArchiveVersion,
-                              const Context& ctx = Context::process_default());
-std::string serialize_archive(const Archive& archive,
-                              const ArchiveWriteOptions& options,
+                              const ArchiveWriteOptions& options = {},
                               const Context& ctx = Context::process_default());
 
-/// Fused compress + serialize (v4 only; other versions degrade to
-/// compress_to_archive + serialize_archive): planes move through in
-/// groups so the GEMM sandwich transform of group i+1 overlaps the
-/// chunk entropy encode of group i on `ctx`'s pool. The returned
-/// bytes are bitwise-identical to the unfused
-/// serialize_archive(compress_to_archive(...)) path — the pipeline
-/// tests assert it — and independent of what other sessions run on a
-/// shared pool.
+/// Compresses and serializes in one pass: planes are transformed in
+/// groups of about 1 MiB of input, and each group's packed bytes feed the
+/// chunk pipeline, so the chunk encodes of one group overlap the
+/// transform of the next on `ctx`'s pool. The bytes equal
+/// serialize_archive(compress_to_archive(...)) — the pipeline tests
+/// assert it — and do not depend on what other sessions run on a shared
+/// pool.
 std::string compress_to_archive_bytes(const tensor::Tensor& input,
                                       const std::string& codec_spec,
                                       const ArchiveWriteOptions& options = {},
@@ -141,18 +134,14 @@ void compress_to_archive_bytes(const tensor::Tensor& input,
                                core::CodecPtr* codec_out, const Context& ctx,
                                std::string& out);
 
-/// Bounded-memory streaming write: compresses `input` and emits the
-/// archive to `out` without ever materializing the full byte string.
-/// For v4 + a seekable sink + a plane-separable codec, planes move
-/// through a pooled sliding window — chunks are entropy coded and
-/// written as soon as their payload bytes exist, and the chunk table +
-/// header CRC are back-patched at the end — so the resident footprint is
-/// O(one plane + one chunk) instead of O(archive). Non-separable codecs
-/// hold the payload (the transform needs it whole) but still never
-/// materialize the encoded stream; v2/v3 and non-seekable sinks degrade
-/// to the in-memory writer followed by one write. The emitted bytes are
-/// bitwise-identical to compress_to_archive_bytes for every pool size,
-/// chunk size, and memory budget. Returns the total bytes written.
+/// Bounded-memory streaming write: the same pipeline as
+/// compress_to_archive_bytes, but encoded chunks are written to `out` as
+/// they finish and the chunk table + header CRC are back-patched with
+/// seekp, so the resident footprint is one plane group plus the chunks
+/// in flight instead of the whole archive. A non-seekable `out` gets the
+/// in-memory bytes in one write. The emitted bytes equal
+/// compress_to_archive_bytes for every pool size, chunk size, and memory
+/// budget. Returns the total bytes written.
 std::size_t compress_to_stream(const tensor::Tensor& input,
                                const std::string& codec_spec,
                                std::ostream& out,
@@ -162,11 +151,12 @@ std::size_t compress_to_stream(const tensor::Tensor& input,
 
 /// Bounded-memory streaming read: validates and decodes an archive from
 /// `in` with the same typed CorruptStream rejections as
-/// deserialize_archive. For v4, chunks are read in bounded pooled
-/// batches and entropy-decoded straight into the result tensor's
-/// storage, so the resident footprint is O(header + batch + tensor) —
-/// the encoded stream is never held whole. v2/v3 (unchunked) containers
-/// are slurped and delegated to the in-memory reader.
+/// deserialize_archive, through the same v4 decode core. Chunks are read
+/// in pooled batches of at most 4 MiB and entropy-decoded straight into
+/// the result tensor's storage, so the resident footprint is
+/// O(header + batch + tensor) — the encoded stream is never held whole.
+/// v2/v3 (unchunked) containers are slurped and delegated to the
+/// in-memory reader.
 Archive decompress_from_stream(std::istream& in,
                                const Context& ctx = Context::process_default());
 
@@ -196,6 +186,8 @@ struct ArchiveProbe {
 };
 ArchiveProbe probe_archive(std::string_view bytes);
 
+/// Writes `archive` to `path` through the chunk pipeline with default
+/// write options (no staging string).
 void save_archive(const Archive& archive, const std::string& path);
 /// Reads `path` through io::MappedFile (mmap with heap fallback) and
 /// decodes in place on `ctx`'s pool — no whole-file heap copy on the

@@ -132,7 +132,7 @@ int usage(std::ostream& err) {
          "  aicomp compress <in.aict> <out.aicz> [--codec <spec> | --cf N "
          "--block B --transform dct|wht|dst2 --triangle]\n"
          "                  [--chunk-bytes N --entropy "
-         "raw|packed|huffman|auto --archive-version 2|3|4] [--stats]\n"
+         "raw|packed|huffman|auto] [--stats]\n"
          "  aicomp decompress <in.aicz> <out.aict> [--stats]\n"
          "  aicomp verify <in.aicz>   (check CRCs + full decode)\n"
          "  aicomp info <file>\n"
@@ -533,12 +533,10 @@ int cmd_gen(const Options& options, std::ostream& out) {
   return 0;
 }
 
-/// Container knobs shared by compress: --archive-version,
-/// --chunk-bytes (v4 chunk budget) and --entropy raw|packed|huffman|auto.
+/// Container knobs of compress: --chunk-bytes (v4 chunk budget) and
+/// --entropy raw|packed|huffman|auto.
 ArchiveWriteOptions archive_write_options(const Options& options) {
   ArchiveWriteOptions write;
-  write.version = static_cast<std::uint32_t>(
-      flag_size(options, "archive-version", kArchiveVersion));
   write.chunk_bytes = flag_size(options, "chunk-bytes", kDefaultChunkBytes);
   const auto it = options.flags.find("entropy");
   if (it != options.flags.end()) {
@@ -560,8 +558,8 @@ int cmd_compress(const Options& options, std::ostream& out,
   std::size_t archive_bytes = 0;
   // Chunks are entropy coded and written as soon as their payload bytes
   // exist, and the chunk table is back-patched at the end, so the archive
-  // never exists whole in memory. A non-seekable output (a pipe) takes
-  // the in-memory fused writer plus one write; the bytes are the same.
+  // never exists whole in memory. A non-seekable output (a pipe) gets
+  // the same pipeline into a string plus one write; the bytes match.
   write_output(options.positional[1], "compress", [&](std::ostream& file) {
     archive_bytes =
         compress_to_stream(input, spec, file, write_options, &codec, ctx);

@@ -55,10 +55,12 @@ std::string read_corpus_seed(const std::string& family,
                              const std::string& name);
 
 /// The full built-in decode-hardening suite: dctchop/partial/triangle
-/// archives (v3 strict, v2 legacy-tolerant) plus the Huffman/RLE/
-/// bitstream codecs behind sealed frames, each with header-bit sweeps,
-/// truncation at every byte boundary, seeded random flips, and
-/// deep-validation field sweeps (corrupted fields with fixed-up CRCs).
+/// archives (v4 written fresh; read-only v3 strict and v2
+/// legacy-tolerant seeds loaded from the checked-in corpus) plus the
+/// Huffman/RLE/bitstream codecs behind sealed frames, each with
+/// header-bit sweeps, truncation at every byte boundary, seeded random
+/// flips, and deep-validation field sweeps (corrupted fields with
+/// fixed-up CRCs).
 std::vector<RobustnessTarget> robustness_targets();
 
 /// Runs the matrix over every target.

@@ -6,8 +6,8 @@
 namespace aic::obs {
 
 /// Central handles for the parallel-archive-pipeline metrics, so every
-/// layer (chunk entropy coders, archive v4 serialize/deserialize, the
-/// fused transform/encode pipeline) records into the same registry names:
+/// layer (chunk entropy coders, the archive chunk pipeline and v4
+/// decode) records into the same registry names:
 ///
 ///   pipeline.chunks_encoded / pipeline.chunks_decoded   counters
 ///   pipeline.encode_reallocs                            counter
@@ -16,7 +16,7 @@ namespace aic::obs {
 ///   pipeline.overlap_efficiency                         gauge
 ///
 /// overlap_efficiency is (transform_ns + encode_ns) / wall_ns of the last
-/// fused or streaming compress: 1.0 means fully serial, values above it
+/// compress: 1.0 means fully serial, values above it
 /// mean the producer (GEMM sandwich transform) and consumer (chunk
 /// entropy encode) stages, or the chunk encodes themselves, ran
 /// concurrently.

@@ -130,10 +130,6 @@ int Context::entropy_mode() const noexcept {
   return impl_->options.entropy_mode;
 }
 
-std::uint32_t Context::archive_version() const noexcept {
-  return impl_->options.archive_version;
-}
-
 const std::string& Context::obs_prefix() const noexcept {
   return impl_->options.obs_prefix;
 }

@@ -36,8 +36,7 @@ namespace aic {
 ///   - a plan cache with its own byte budget (created lazily by the core
 ///     layer via `core::PlanCache::of(ctx)` — the runtime layer stores it
 ///     type-erased so it does not depend on core),
-///   - codec/pipeline knobs (archive chunk bytes, entropy mode, archive
-///     version),
+///   - codec/pipeline knobs (archive chunk bytes, entropy mode),
 ///   - an observability scope: a metric-name prefix under which per-context
 ///     instruments are registered in the *global* registry, so existing
 ///     OpenMetrics export / snapshot / flight-recorder paths see per-session
@@ -73,8 +72,6 @@ class Context {
     /// Numeric value of baseline::ChunkEntropy (stored untyped because the
     /// baseline layer sits above the runtime layer).
     int entropy_mode = 0;
-    /// Container version for new archives.
-    std::uint32_t archive_version = 4;
     /// Metric-name prefix (e.g. "session0.") for per-context instruments.
     /// Contexts with an empty prefix keep their plan-cache metrics private
     /// (the process-default context publishes unprefixed, as before).
@@ -110,7 +107,6 @@ class Context {
   std::size_t plan_cache_bytes() const noexcept;
   std::size_t chunk_bytes() const noexcept;
   int entropy_mode() const noexcept;
-  std::uint32_t archive_version() const noexcept;
   const std::string& obs_prefix() const noexcept;
 
   /// `obs_prefix() + name`.

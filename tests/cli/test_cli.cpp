@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "cli/archive.hpp"
+#include "cli/robustness_suite.hpp"
 #include "io/error.hpp"
 #include "io/tensor_io.hpp"
 #include "runtime/rng.hpp"
@@ -268,33 +269,28 @@ void flip_last_bytes(const std::string& path) {
 constexpr const char* kDefaultSpec = "dctchop:cf=4,block=8,transform=dct";
 
 TEST(Cli, CompressFileMatchesInMemoryArchiveBytes) {
-  // The streamed file must equal the fused in-memory writer's bytes for
-  // every container version, entropy mode and pool size. A 1 KiB chunk
-  // budget spreads the payload over many chunks, so the streaming
-  // writer's window slides and its chunk table is back-patched.
+  // The streamed file must equal the in-memory writer's bytes for every
+  // entropy mode and pool size. A 1 KiB chunk budget spreads the payload
+  // over many chunks, so the stream sink writes chunks as they finish and
+  // back-patches its chunk table.
   TempDir dir;
   const std::string raw = dir.file("raw.aict");
   const std::string packed = dir.file("packed.aicz");
   ASSERT_EQ(run({"gen", raw, "--res", "32", "--batch", "2"}), 0);
   const Tensor input = io::load_tensor(raw);
-  for (const std::uint32_t version : {2u, 3u, 4u}) {
-    for (const std::string entropy : {"raw", "huffman"}) {
-      ArchiveWriteOptions options;
-      options.version = version;
-      options.chunk_bytes = 1024;
-      options.entropy = baseline::parse_chunk_entropy(entropy);
-      const std::string expected =
-          compress_to_archive_bytes(input, kDefaultSpec, options);
-      for (const std::string threads : {"1", "4"}) {
-        const std::string label = "v" + std::to_string(version) + " " +
-                                  entropy + " threads=" + threads;
-        ASSERT_EQ(run({"compress", raw, packed, "--archive-version",
-                       std::to_string(version), "--entropy", entropy,
-                       "--chunk-bytes", "1024", "--threads", threads}),
-                  0)
-            << label;
-        EXPECT_EQ(read_file(packed), expected) << label;
-      }
+  for (const std::string entropy : {"raw", "huffman"}) {
+    ArchiveWriteOptions options;
+    options.chunk_bytes = 1024;
+    options.entropy = baseline::parse_chunk_entropy(entropy);
+    const std::string expected =
+        compress_to_archive_bytes(input, kDefaultSpec, options);
+    for (const std::string threads : {"1", "4"}) {
+      const std::string label = entropy + " threads=" + threads;
+      ASSERT_EQ(run({"compress", raw, packed, "--entropy", entropy,
+                     "--chunk-bytes", "1024", "--threads", threads}),
+                0)
+          << label;
+      EXPECT_EQ(read_file(packed), expected) << label;
     }
   }
 }
@@ -365,8 +361,7 @@ TEST(Cli, FailedDecompressLeavesNoOutput) {
 TEST(Archive, SerializeDeserializeRoundTrip) {
   runtime::Rng rng(1);
   const Tensor input = Tensor::uniform(Shape::bchw(2, 1, 16, 16), rng);
-  const Archive archive = compress_to_archive(
-      input, 4, 8, core::TransformKind::kDct2, false);
+  const Archive archive = compress_to_archive(input, kDefaultSpec);
   const Archive back = deserialize_archive(serialize_archive(archive));
   EXPECT_EQ(back.original_shape, archive.original_shape);
   EXPECT_EQ(back.config.cf, 4u);
@@ -376,8 +371,7 @@ TEST(Archive, SerializeDeserializeRoundTrip) {
 TEST(Archive, CorruptHeaderRejected) {
   runtime::Rng rng(2);
   const Tensor input = Tensor::uniform(Shape::bchw(1, 1, 16, 16), rng);
-  const Archive archive = compress_to_archive(
-      input, 4, 8, core::TransformKind::kDct2, false);
+  const Archive archive = compress_to_archive(input, kDefaultSpec);
   std::string bytes = serialize_archive(archive);
   bytes[0] = 'X';
   EXPECT_THROW(deserialize_archive(bytes), std::runtime_error);
@@ -386,26 +380,31 @@ TEST(Archive, CorruptHeaderRejected) {
 TEST(Archive, PayloadHeaderMismatchRejected) {
   runtime::Rng rng(3);
   const Tensor input = Tensor::uniform(Shape::bchw(1, 1, 16, 16), rng);
-  Archive archive = compress_to_archive(input, 4, 8,
-                                        core::TransformKind::kDct2, false);
+  Archive archive = compress_to_archive(input, kDefaultSpec);
   archive.config.cf = 2;  // header now disagrees with the payload shape
   EXPECT_THROW(deserialize_archive(serialize_archive(archive)),
                std::runtime_error);
 }
 
 TEST(Archive, LegacyV2StreamStillRoundTrips) {
-  runtime::Rng rng(4);
-  const Tensor input = Tensor::uniform(Shape::bchw(2, 1, 16, 16), rng);
-  const Archive archive = compress_to_archive(
-      input, 4, 8, core::TransformKind::kDct2, false);
-  const std::string v2 = serialize_archive(archive, 2);
-  const std::string v3 = serialize_archive(archive, 3);
+  // v2/v3 are read-only: the checked-in corpus seeds (dctchop cf=4 over
+  // the robustness suite's seed inputs 14 and 11) must decode to exactly
+  // what compressing those inputs gives.
+  const std::string v2 = read_corpus_seed("archive",
+                                          "seed_archive_dctchop_v2.bin");
+  const std::string v3 = read_corpus_seed("archive",
+                                          "seed_archive_dctchop_v3.bin");
   // v2 is the pre-CRC layout: 12 bytes shorter, different version word.
   EXPECT_EQ(v2.size() + 12, v3.size());
-  const Archive back = deserialize_archive(v2);
-  EXPECT_EQ(back.original_shape, archive.original_shape);
-  EXPECT_EQ(back.config.cf, archive.config.cf);
-  EXPECT_TRUE(tensor::allclose(back.packed, archive.packed, 0.0));
+  for (const auto& [bytes, seed] :
+       {std::pair{v2, std::uint64_t{14}}, std::pair{v3, std::uint64_t{11}}}) {
+    const Archive archive =
+        compress_to_archive(corpus_seed_tensor(seed), "dctchop:cf=4,block=8");
+    const Archive back = deserialize_archive(bytes);
+    EXPECT_EQ(back.original_shape, archive.original_shape) << seed;
+    EXPECT_EQ(back.config.cf, archive.config.cf) << seed;
+    EXPECT_TRUE(tensor::allclose(back.packed, archive.packed, 0.0)) << seed;
+  }
 }
 
 TEST(Archive, TriangleAndPartialKindsRoundTrip) {
@@ -424,8 +423,8 @@ TEST(Archive, TriangleAndPartialKindsRoundTrip) {
 TEST(Archive, UnsupportedVersionNamesFoundAndSupported) {
   runtime::Rng rng(6);
   const Tensor input = Tensor::uniform(Shape::bchw(1, 1, 16, 16), rng);
-  std::string bytes = serialize_archive(compress_to_archive(
-      input, 4, 8, core::TransformKind::kDct2, false));
+  std::string bytes =
+      serialize_archive(compress_to_archive(input, kDefaultSpec));
   bytes[4] = 7;  // version word
   try {
     deserialize_archive(bytes);
@@ -442,8 +441,8 @@ TEST(Archive, UnsupportedVersionNamesFoundAndSupported) {
 TEST(Archive, FlippedPayloadBitFailsChecksum) {
   runtime::Rng rng(7);
   const Tensor input = Tensor::uniform(Shape::bchw(1, 1, 16, 16), rng);
-  std::string bytes = serialize_archive(compress_to_archive(
-      input, 4, 8, core::TransformKind::kDct2, false));
+  std::string bytes =
+      serialize_archive(compress_to_archive(input, kDefaultSpec));
   bytes[bytes.size() - 3] ^= 0x04;
   try {
     deserialize_archive(bytes);

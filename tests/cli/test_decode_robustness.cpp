@@ -60,8 +60,8 @@ TEST(DecodeRobustness, CorruptDecodeBumpsObsCounters) {
 
   runtime::Rng rng(8);
   const Tensor input = Tensor::uniform(Shape::bchw(1, 1, 16, 16), rng);
-  std::string bytes = serialize_archive(
-      compress_to_archive(input, 4, 8, core::TransformKind::kDct2, false));
+  std::string bytes =
+      serialize_archive(compress_to_archive(input, "dctchop:cf=4,block=8"));
   bytes[bytes.size() - 1] ^= 0x01;
   EXPECT_THROW(deserialize_archive(bytes), io::CorruptStream);
 

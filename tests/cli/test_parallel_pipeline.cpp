@@ -103,12 +103,15 @@ TEST(ParallelPipeline, ArchiveBytesIdenticalAcrossPoolSizes) {
 }
 
 TEST(ParallelPipeline, FusedMatchesUnfusedBitwise) {
-  // Multi-plane (plane-group overlap active) and single-plane (overlap
-  // degrades to transform-then-encode) must both match the two-phase
-  // path byte for byte.
-  const std::pair<std::size_t, std::size_t> plane_shapes[] = {{4, 3}, {1, 1}};
-  for (const auto& [batch, channels] : plane_shapes) {
-    const Tensor input = seed_input(batch, channels, 32);
+  // Compressing in plane groups must match compressing the whole tensor
+  // and serializing it, byte for byte: one group (small inputs, a single
+  // plane) and several groups (5 planes of 256x256 are 1.25 MiB of input:
+  // a four-plane group plus a ragged one-plane tail).
+  const struct {
+    std::size_t batch, channels, res;
+  } shapes[] = {{4, 3, 32}, {1, 1, 32}, {1, 5, 256}};
+  for (const auto& [batch, channels, res] : shapes) {
+    const Tensor input = seed_input(batch, channels, res);
     for (const char* spec : {"dctchop:cf=4,block=8", "partial:cf=4,block=8,s=2",
                              "triangle:cf=4,block=8"}) {
       const ArchiveWriteOptions options{.chunk_bytes = 2048};
@@ -116,8 +119,14 @@ TEST(ParallelPipeline, FusedMatchesUnfusedBitwise) {
           compress_to_archive(input, spec), options);
       const std::string fused =
           compress_to_archive_bytes(input, spec, options);
-      EXPECT_EQ(fused, unfused) << spec << " b=" << batch
-                                << " c=" << channels;
+      const std::string label = std::string(spec) + " b=" +
+                                std::to_string(batch) + " c=" +
+                                std::to_string(channels) + " res=" +
+                                std::to_string(res);
+      EXPECT_EQ(fused, unfused) << label;
+      std::ostringstream stream;
+      compress_to_stream(input, spec, stream, options);
+      EXPECT_EQ(stream.str(), unfused) << "streamed " << label;
     }
   }
 }
@@ -213,16 +222,32 @@ TEST(ParallelPipeline, ChunkBoundaryEdgesRoundTrip) {
 // Cross-version compatibility
 
 TEST(ParallelPipeline, CrossVersionDecodeAgrees) {
-  const Tensor input = seed_input(1, 2, 16);
-  const Archive archive = compress_to_archive(input, "partial:cf=4,block=8,s=2");
-  for (std::uint32_t version : {2u, 3u, 4u}) {
-    const std::string bytes = serialize_archive(archive, version);
-    EXPECT_EQ(probe_archive(bytes).version, version);
+  // Every checked-in seed, whatever its container version, decodes to
+  // exactly what compressing its seed input gives today.
+  const struct {
+    const char* file;
+    std::uint32_t version;
+    const char* spec;
+    std::uint64_t seed;
+  } seeds[] = {
+      {"seed_archive_dctchop_v2.bin", 2, "dctchop:cf=4,block=8", 14},
+      {"seed_archive_dctchop_v3.bin", 3, "dctchop:cf=4,block=8", 11},
+      {"seed_archive_partial_v3.bin", 3, "partial:cf=4,block=8,s=2", 12},
+      {"seed_archive_triangle_v3.bin", 3, "triangle:cf=4,block=8", 13},
+      {"seed_archive_partial_v4_auto.bin", 4, "partial:cf=4,block=8,s=2",
+       16},
+  };
+  for (const auto& s : seeds) {
+    const std::string bytes = read_corpus_seed("archive", s.file);
+    EXPECT_EQ(probe_archive(bytes).version, s.version) << s.file;
+    const Archive archive =
+        compress_to_archive(corpus_seed_tensor(s.seed), s.spec);
     const Archive back = deserialize_archive(bytes);
-    EXPECT_EQ(back.subdivision, archive.subdivision) << "v" << version;
-    EXPECT_EQ(back.original_shape, archive.original_shape) << "v" << version;
+    EXPECT_EQ(back.triangle, archive.triangle) << s.file;
+    EXPECT_EQ(back.subdivision, archive.subdivision) << s.file;
+    EXPECT_EQ(back.original_shape, archive.original_shape) << s.file;
     EXPECT_TRUE(tensor::allclose(back.packed, archive.packed, 0.0))
-        << "v" << version;
+        << s.file;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "cli/archive.hpp"
+#include "cli/robustness_suite.hpp"
 #include "data/synth.hpp"
 #include "io/error.hpp"
 #include "runtime/rng.hpp"
@@ -41,8 +42,8 @@ void expect_same_archive(const Archive& a, const Archive& b) {
 }
 
 /// An ostream whose streambuf cannot seek (tellp() == -1), standing in
-/// for a pipe/socket sink: compress_to_stream must degrade to the
-/// in-memory writer and still emit identical bytes.
+/// for a pipe/socket sink: compress_to_stream must fall back to the
+/// string sink and still emit identical bytes.
 class NonSeekableBuf : public std::streambuf {
  public:
   std::string bytes;
@@ -66,8 +67,8 @@ TEST(StreamingArchive, StreamedBytesMatchInMemoryWriterAcrossGeometry) {
          {std::size_t{64}, std::size_t{1000}, std::size_t{64} * 1024}) {
       for (const baseline::ChunkEntropy entropy :
            {baseline::ChunkEntropy::kRaw, baseline::ChunkEntropy::kAuto}) {
-        const ArchiveWriteOptions options{
-            .version = 4, .chunk_bytes = chunk_bytes, .entropy = entropy};
+        const ArchiveWriteOptions options{.chunk_bytes = chunk_bytes,
+                                          .entropy = entropy};
         const std::string reference =
             compress_to_archive_bytes(input, spec, options);
         std::ostringstream stream;
@@ -83,7 +84,7 @@ TEST(StreamingArchive, StreamedBytesMatchInMemoryWriterAcrossGeometry) {
 
 TEST(StreamingArchive, NonSeekableSinkDegradesBitwiseIdentical) {
   const Tensor input = test_tensor(32);
-  const ArchiveWriteOptions options{.version = 4, .chunk_bytes = 512};
+  const ArchiveWriteOptions options{.chunk_bytes = 512};
   const std::string reference =
       compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options);
   NonSeekableBuf buf;
@@ -95,25 +96,11 @@ TEST(StreamingArchive, NonSeekableSinkDegradesBitwiseIdentical) {
   EXPECT_EQ(written, reference.size());
 }
 
-TEST(StreamingArchive, LegacyVersionsDegradeBitwiseIdentical) {
-  const Tensor input = test_tensor(33, 1);
-  for (const std::uint32_t version : {std::uint32_t{2}, std::uint32_t{3}}) {
-    ArchiveWriteOptions options;
-    options.version = version;
-    const std::string reference =
-        compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options);
-    std::ostringstream stream;
-    compress_to_stream(input, "dctchop:cf=4,block=8", stream, options);
-    EXPECT_EQ(stream.str(), reference) << "v" << version;
-  }
-}
-
 TEST(StreamingArchive, StreamReadMatchesInMemoryReader) {
   const Tensor input = test_tensor(34);
   for (const std::size_t chunk_bytes :
        {std::size_t{100}, std::size_t{4096}, std::size_t{1} << 20}) {
-    const ArchiveWriteOptions options{.version = 4,
-                                      .chunk_bytes = chunk_bytes};
+    const ArchiveWriteOptions options{.chunk_bytes = chunk_bytes};
     const std::string bytes =
         compress_to_archive_bytes(input, "partial:cf=4,block=8,s=2", options);
     const Archive reference = deserialize_archive(bytes);
@@ -124,12 +111,12 @@ TEST(StreamingArchive, StreamReadMatchesInMemoryReader) {
 }
 
 TEST(StreamingArchive, StreamReadHandlesLegacyVersions) {
-  const Tensor input = test_tensor(35, 1);
-  for (const std::uint32_t version : {std::uint32_t{2}, std::uint32_t{3}}) {
-    ArchiveWriteOptions options;
-    options.version = version;
-    const std::string bytes =
-        compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options);
+  // v2/v3 are read-only; their checked-in corpus seeds stand in for
+  // archives written before v4.
+  for (const char* file :
+       {"seed_archive_dctchop_v2.bin", "seed_archive_dctchop_v3.bin",
+        "seed_archive_partial_v3.bin", "seed_archive_triangle_v3.bin"}) {
+    const std::string bytes = read_corpus_seed("archive", file);
     const Archive reference = deserialize_archive(bytes);
     std::istringstream stream(bytes);
     const Archive streamed = decompress_from_stream(stream);
@@ -139,7 +126,7 @@ TEST(StreamingArchive, StreamReadHandlesLegacyVersions) {
 
 TEST(StreamingArchive, StreamReadRejectsTruncationTyped) {
   const Tensor input = test_tensor(36, 1);
-  const ArchiveWriteOptions options{.version = 4, .chunk_bytes = 256};
+  const ArchiveWriteOptions options{.chunk_bytes = 256};
   const std::string bytes =
       compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options);
   for (std::size_t cut = 0; cut < bytes.size();
@@ -152,7 +139,7 @@ TEST(StreamingArchive, StreamReadRejectsTruncationTyped) {
 
 TEST(StreamingArchive, StreamReadRejectsTrailingBytes) {
   const Tensor input = test_tensor(37, 1);
-  const ArchiveWriteOptions options{.version = 4, .chunk_bytes = 256};
+  const ArchiveWriteOptions options{.chunk_bytes = 256};
   const std::string bytes =
       compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options);
   std::istringstream stream(bytes + "x");
@@ -166,7 +153,7 @@ TEST(StreamingArchive, StreamReadRejectsTrailingBytes) {
 /// degrades throughput, never bytes.
 TEST(StreamingArchive, BytesIdenticalForEveryMempoolBudget) {
   const Tensor input = test_tensor(38);
-  const ArchiveWriteOptions options{.version = 4, .chunk_bytes = 512};
+  const ArchiveWriteOptions options{.chunk_bytes = 512};
   const std::string reference =
       compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options);
   for (const char* budget : {"0", "4096", "1048576"}) {
@@ -191,7 +178,7 @@ TEST(StreamingArchive, BytesIdenticalForEveryMempoolBudget) {
 /// first call, subsequent calls of the same geometry must not grow it.
 TEST(StreamingArchive, OutParamWriterReusesCapacity) {
   const Tensor input = test_tensor(39);
-  const ArchiveWriteOptions options{.version = 4, .chunk_bytes = 4096};
+  const ArchiveWriteOptions options{.chunk_bytes = 4096};
   std::string bytes;
   compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options, nullptr,
                             Context::process_default(), bytes);

@@ -4,8 +4,11 @@
 //   fault_inject --matrix              run the built-in mutation matrix
 //                                      over all targets (default), then
 //                                      replay the v4 targets through the
-//                                      mmap (io::MappedFile) decode path
+//                                      mmap (io::MappedFile) and istream
+//                                      (decompress_from_stream) decode
+//                                      paths
 //   fault_inject --mmap-matrix         only the mmap replay pass
+//   fault_inject --stream-matrix       only the istream replay pass
 //   fault_inject --write-corpus <dir>  write fuzz corpus seeds and exit
 //   fault_inject <file>...             replay raw mutant files through the
 //                                      archive decoder (crash triage)
@@ -82,51 +85,69 @@ std::filesystem::path mmap_replay_path() {
          ("aic_fault_inject_mmap_" + pid + ".aicz");
 }
 
-/// Replays the v4 archive targets' full mutation matrices through the
-/// zero-copy file path: each mutant is written to a reused temp file,
-/// mapped with io::MappedFile, and decoded straight out of the mapping —
-/// the exact bytes-never-touch-a-heap-string route `aicomp decompress`
-/// takes. The contract is identical to the in-memory matrix: bitwise-
-/// exact decode or a typed CorruptStream, with flight-recorder
-/// accounting intact (mmap must not change where rejections surface).
-int run_mmap_matrix() {
-  FlightAudit audit;
-  const std::filesystem::path path = mmap_replay_path();
-  const aic::io::DecodeFn mmap_decode = [&path](const std::string& bytes) {
-    {
-      std::ofstream file(path, std::ios::binary | std::ios::trunc);
-      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    const aic::io::MappedFile file(path.string());
-    const aic::cli::Archive archive =
-        aic::cli::deserialize_archive(file.view());
-    const aic::tensor::Tensor restored =
-        aic::cli::make_archive_codec(archive)->decompress(
-            archive.packed, archive.original_shape);
-    return aic::io::serialize_tensor(restored);
-  };
+std::string restore(const aic::cli::Archive& archive) {
+  const aic::tensor::Tensor restored =
+      aic::cli::make_archive_codec(archive)->decompress(
+          archive.packed, archive.original_shape);
+  return aic::io::serialize_tensor(restored);
+}
 
+/// Replays the v4 archive targets' full mutation matrices through another
+/// decode front end (`pass` names it). The contract is identical to the
+/// in-memory matrix: bitwise-exact decode or a typed CorruptStream, with
+/// flight-recorder accounting intact (the front end must not change
+/// where rejections surface).
+int run_v4_replay(const std::string& pass, const aic::io::DecodeFn& decode) {
+  FlightAudit audit;
   bool ok = true;
   std::size_t total_rejected = 0;
   for (const aic::cli::RobustnessTarget& target :
        aic::cli::robustness_targets()) {
     if (target.name.find(":v4") == std::string::npos) continue;
     const aic::io::FaultReport report =
-        aic::io::run_fault_matrix(target.bytes, mmap_decode, target.options);
-    std::cout << target.name << " [mmap]: " << report.summary() << "\n";
+        aic::io::run_fault_matrix(target.bytes, decode, target.options);
+    std::cout << target.name << " [" << pass << "]: " << report.summary()
+              << "\n";
     for (const std::string& failure : report.failures) {
       std::cout << "  FAILURE " << failure << "\n";
     }
     total_rejected += report.rejected;
     ok = ok && report.ok();
   }
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
-
   ok = audit.check(total_rejected) && ok;
-  std::cout << (ok ? "mmap fault matrix clean" : "mmap fault matrix FAILED")
+  std::cout << pass << (ok ? " fault matrix clean" : " fault matrix FAILED")
             << "\n";
   return ok ? 0 : 1;
+}
+
+/// The zero-copy file path: each mutant is written to a reused temp file,
+/// mapped with io::MappedFile, and decoded straight out of the mapping —
+/// the exact bytes-never-touch-a-heap-string route `aicomp decompress`
+/// takes.
+int run_mmap_matrix() {
+  const std::filesystem::path path = mmap_replay_path();
+  const int status =
+      run_v4_replay("mmap", [&path](const std::string& bytes) {
+        {
+          std::ofstream file(path, std::ios::binary | std::ios::trunc);
+          file.write(bytes.data(),
+                     static_cast<std::streamsize>(bytes.size()));
+        }
+        const aic::io::MappedFile file(path.string());
+        return restore(aic::cli::deserialize_archive(file.view()));
+      });
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  return status;
+}
+
+/// The istream path: each mutant is decoded by decompress_from_stream
+/// from an std::istringstream, which reads chunks in pooled batches.
+int run_stream_matrix() {
+  return run_v4_replay("stream", [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    return restore(aic::cli::decompress_from_stream(in));
+  });
 }
 
 int run_matrix() {
@@ -143,9 +164,11 @@ int run_matrix() {
   }
   ok = audit.check(total_rejected) && ok;
   std::cout << (ok ? "fault matrix clean" : "fault matrix FAILED") << "\n";
-  // The v4 targets go through a second time via mmap so both decode
-  // front ends face the identical mutant set.
-  return run_mmap_matrix() == 0 && ok ? 0 : 1;
+  // The v4 targets go through again via mmap and via an istream so
+  // every decode front end faces the identical mutant set.
+  const int mmap_status = run_mmap_matrix();
+  const int stream_status = run_stream_matrix();
+  return ok && mmap_status == 0 && stream_status == 0 ? 0 : 1;
 }
 
 int write_corpus(const std::string& dir) {
@@ -187,6 +210,7 @@ int main(int argc, char** argv) {
   try {
     if (args.empty() || args[0] == "--matrix") return run_matrix();
     if (args[0] == "--mmap-matrix") return run_mmap_matrix();
+    if (args[0] == "--stream-matrix") return run_stream_matrix();
     if (args[0] == "--write-corpus") {
       if (args.size() != 2) {
         std::cerr << "usage: fault_inject --write-corpus <dir>\n";
