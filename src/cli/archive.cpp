@@ -1001,7 +1001,7 @@ Archive decompress_from_stream(std::istream& in, const Context& ctx) {
   std::uint64_t consumed = 0;
   const ChunkSource stream{
       kStreamBatchBytes, [&](std::uint64_t, std::uint64_t len) {
-        stage.reset();
+        stage.reset();  // so the pool can hand the same block back
         stage = ctx.buffer_pool().acquire(static_cast<std::size_t>(len));
         in.read(stage.data(), static_cast<std::streamsize>(len));
         consumed += static_cast<std::uint64_t>(in.gcount());
