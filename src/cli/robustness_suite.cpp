@@ -336,10 +336,11 @@ Tensor corpus_seed_tensor(std::uint64_t seed) {
   return tensor;
 }
 
-std::string read_corpus_seed(const std::string& family,
+std::string read_corpus_seed(const std::string& corpus_dir,
+                             const std::string& family,
                              const std::string& name) {
   const std::filesystem::path path =
-      std::filesystem::path(AIC_CORPUS_DIR) / family / name;
+      std::filesystem::path(corpus_dir) / family / name;
   std::ifstream file(path, std::ios::binary);
   if (!file) {
     throw std::runtime_error("robustness suite: cannot open corpus seed " +
@@ -467,7 +468,8 @@ io::DecodeFn sealed(std::string (*decode_body)(const std::string&)) {
 
 }  // namespace
 
-std::vector<RobustnessTarget> robustness_targets() {
+std::vector<RobustnessTarget> robustness_targets(
+    const std::string& corpus_dir) {
   std::vector<RobustnessTarget> targets;
 
   // v2/v3 targets: these versions are read-only, so their seeds come
@@ -479,7 +481,7 @@ std::vector<RobustnessTarget> robustness_targets() {
     t.corpus_family = "archive";
     std::string file = "seed_" + name + ".bin";
     std::replace(file.begin(), file.end(), ':', '_');
-    t.bytes = read_corpus_seed("archive", file);
+    t.bytes = read_corpus_seed(corpus_dir, "archive", file);
     t.decode = decode_archive_bytes;
     // Sweep the whole fixed-size preamble + header fields bit by bit.
     t.options.header_bytes =
@@ -555,9 +557,10 @@ std::vector<RobustnessTarget> robustness_targets() {
   return targets;
 }
 
-std::vector<std::pair<std::string, io::FaultReport>> run_robustness_suite() {
+std::vector<std::pair<std::string, io::FaultReport>> run_robustness_suite(
+    const std::string& corpus_dir) {
   std::vector<std::pair<std::string, io::FaultReport>> out;
-  for (const RobustnessTarget& target : robustness_targets()) {
+  for (const RobustnessTarget& target : robustness_targets(corpus_dir)) {
     out.emplace_back(target.name,
                      io::run_fault_matrix(target.bytes, target.decode,
                                           target.options));
@@ -565,7 +568,8 @@ std::vector<std::pair<std::string, io::FaultReport>> run_robustness_suite() {
   return out;
 }
 
-std::vector<std::string> write_fuzz_corpus(const std::string& dir) {
+std::vector<std::string> write_fuzz_corpus(const std::string& dir,
+                                           const std::string& corpus_dir) {
   std::vector<std::string> written;
   const auto write = [&](const std::string& family, const std::string& name,
                          const std::string& bytes) {
@@ -576,7 +580,7 @@ std::vector<std::string> write_fuzz_corpus(const std::string& dir) {
     file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     written.push_back(path.string());
   };
-  for (const RobustnessTarget& target : robustness_targets()) {
+  for (const RobustnessTarget& target : robustness_targets(corpus_dir)) {
     // Only the archive fuzz target consumes full container streams; the
     // codec fuzz targets consume unsealed bodies (a CRC prefix would
     // block the fuzzer at the checksum).

@@ -49,9 +49,11 @@ std::string seal_frame(const std::string& body);
 /// `seed` (a smooth field plus Gaussian noise).
 tensor::Tensor corpus_seed_tensor(std::uint64_t seed);
 
-/// Reads `tests/corpus/<family>/<name>` from the source tree's checked-in
-/// fuzz corpus. Throws std::runtime_error when the file is missing.
-std::string read_corpus_seed(const std::string& family,
+/// Reads `<corpus_dir>/<family>/<name>` from a checkout of the fuzz
+/// corpus (`tests/corpus` in the source tree). Throws std::runtime_error
+/// when the file is missing.
+std::string read_corpus_seed(const std::string& corpus_dir,
+                             const std::string& family,
                              const std::string& name);
 
 /// The full built-in decode-hardening suite: dctchop/partial/triangle
@@ -60,15 +62,18 @@ std::string read_corpus_seed(const std::string& family,
 /// Huffman/RLE/bitstream codecs behind sealed frames, each with
 /// header-bit sweeps, truncation at every byte boundary, seeded random
 /// flips, and deep-validation field sweeps (corrupted fields with
-/// fixed-up CRCs).
-std::vector<RobustnessTarget> robustness_targets();
+/// fixed-up CRCs). The legacy seeds are read from `corpus_dir`.
+std::vector<RobustnessTarget> robustness_targets(const std::string& corpus_dir);
 
 /// Runs the matrix over every target.
-std::vector<std::pair<std::string, io::FaultReport>> run_robustness_suite();
+std::vector<std::pair<std::string, io::FaultReport>> run_robustness_suite(
+    const std::string& corpus_dir);
 
 /// Writes each target's valid seed stream (and for the non-archive
 /// families, the unsealed body) under `dir`/<family>/ as fuzz corpus
-/// seeds. Returns the files written.
-std::vector<std::string> write_fuzz_corpus(const std::string& dir);
+/// seeds, reading the legacy seeds from `corpus_dir`. Returns the files
+/// written.
+std::vector<std::string> write_fuzz_corpus(const std::string& dir,
+                                           const std::string& corpus_dir);
 
 }  // namespace aic::cli

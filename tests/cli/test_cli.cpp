@@ -390,10 +390,10 @@ TEST(Archive, LegacyV2StreamStillRoundTrips) {
   // v2/v3 are read-only: the checked-in corpus seeds (dctchop cf=4 over
   // the robustness suite's seed inputs 14 and 11) must decode to exactly
   // what compressing those inputs gives.
-  const std::string v2 = read_corpus_seed("archive",
-                                          "seed_archive_dctchop_v2.bin");
-  const std::string v3 = read_corpus_seed("archive",
-                                          "seed_archive_dctchop_v3.bin");
+  const std::string v2 = read_corpus_seed(
+      AIC_CORPUS_DIR, "archive", "seed_archive_dctchop_v2.bin");
+  const std::string v3 = read_corpus_seed(
+      AIC_CORPUS_DIR, "archive", "seed_archive_dctchop_v3.bin");
   // v2 is the pre-CRC layout: 12 bytes shorter, different version word.
   EXPECT_EQ(v2.size() + 12, v3.size());
   for (const auto& [bytes, seed] :

@@ -24,7 +24,7 @@ using tensor::Tensor;
 // boundary, seeded random flips over the whole stream, and deep field
 // sweeps with recomputed CRCs.
 TEST(DecodeRobustness, FaultMatrixIsClean) {
-  for (const auto& [name, report] : run_robustness_suite()) {
+  for (const auto& [name, report] : run_robustness_suite(AIC_CORPUS_DIR)) {
     std::string detail = name + ": " + report.summary();
     for (const std::string& failure : report.failures) {
       detail += "\n  " + failure;
@@ -41,7 +41,7 @@ TEST(DecodeRobustness, FaultMatrixIsClean) {
 TEST(DecodeRobustness, MatrixTargetsCoverEveryFamily) {
   bool archive = false, v2 = false, huffman = false, rle = false,
        bitstream = false;
-  for (const RobustnessTarget& target : robustness_targets()) {
+  for (const RobustnessTarget& target : robustness_targets(AIC_CORPUS_DIR)) {
     if (target.corpus_family == "archive") archive = true;
     if (target.name.find("v2") != std::string::npos) v2 = true;
     if (target.corpus_family == "huffman") huffman = true;
@@ -85,7 +85,7 @@ TEST(DecodeRobustness, EveryRejectionProducesOneFlightRecord) {
       obs::Registry::global().counter("obs.flight_dumps").value();
 
   std::uint64_t total_rejected = 0;
-  for (const auto& [name, report] : run_robustness_suite()) {
+  for (const auto& [name, report] : run_robustness_suite(AIC_CORPUS_DIR)) {
     (void)name;
     total_rejected += report.rejected;
   }

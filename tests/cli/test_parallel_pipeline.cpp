@@ -157,7 +157,8 @@ TEST(ParallelPipeline, GoldenV4SeedsReproducedByEveryWriter) {
     ctx_options.own_pool = true;
     const Context ctx(ctx_options);
     for (const auto& s : seeds) {
-      const std::string golden = read_corpus_seed("archive", s.file);
+      const std::string golden =
+          read_corpus_seed(AIC_CORPUS_DIR, "archive", s.file);
       const Tensor input = corpus_seed_tensor(s.seed);
       const ArchiveWriteOptions options{.chunk_bytes = s.chunk_bytes,
                                         .entropy = s.entropy};
@@ -238,7 +239,8 @@ TEST(ParallelPipeline, CrossVersionDecodeAgrees) {
        16},
   };
   for (const auto& s : seeds) {
-    const std::string bytes = read_corpus_seed("archive", s.file);
+    const std::string bytes =
+        read_corpus_seed(AIC_CORPUS_DIR, "archive", s.file);
     EXPECT_EQ(probe_archive(bytes).version, s.version) << s.file;
     const Archive archive =
         compress_to_archive(corpus_seed_tensor(s.seed), s.spec);

@@ -116,7 +116,8 @@ TEST(StreamingArchive, StreamReadHandlesLegacyVersions) {
   for (const char* file :
        {"seed_archive_dctchop_v2.bin", "seed_archive_dctchop_v3.bin",
         "seed_archive_partial_v3.bin", "seed_archive_triangle_v3.bin"}) {
-    const std::string bytes = read_corpus_seed("archive", file);
+    const std::string bytes =
+        read_corpus_seed(AIC_CORPUS_DIR, "archive", file);
     const Archive reference = deserialize_archive(bytes);
     std::istringstream stream(bytes);
     const Archive streamed = decompress_from_stream(stream);

@@ -8,7 +8,6 @@
 //                                      (decompress_from_stream) decode
 //                                      paths
 //   fault_inject --mmap-matrix         only the mmap replay pass
-//   fault_inject --stream-matrix       only the istream replay pass
 //   fault_inject --write-corpus <dir>  write fuzz corpus seeds and exit
 //   fault_inject <file>...             replay raw mutant files through the
 //                                      archive decoder (crash triage)
@@ -102,7 +101,7 @@ int run_v4_replay(const std::string& pass, const aic::io::DecodeFn& decode) {
   bool ok = true;
   std::size_t total_rejected = 0;
   for (const aic::cli::RobustnessTarget& target :
-       aic::cli::robustness_targets()) {
+       aic::cli::robustness_targets(AIC_CORPUS_DIR)) {
     if (target.name.find(":v4") == std::string::npos) continue;
     const aic::io::FaultReport report =
         aic::io::run_fault_matrix(target.bytes, decode, target.options);
@@ -154,7 +153,8 @@ int run_matrix() {
   FlightAudit audit;
   bool ok = true;
   std::size_t total_rejected = 0;
-  for (const auto& [name, report] : aic::cli::run_robustness_suite()) {
+  for (const auto& [name, report] :
+       aic::cli::run_robustness_suite(AIC_CORPUS_DIR)) {
     std::cout << name << ": " << report.summary() << "\n";
     for (const std::string& failure : report.failures) {
       std::cout << "  FAILURE " << failure << "\n";
@@ -172,7 +172,8 @@ int run_matrix() {
 }
 
 int write_corpus(const std::string& dir) {
-  const std::vector<std::string> written = aic::cli::write_fuzz_corpus(dir);
+  const std::vector<std::string> written =
+      aic::cli::write_fuzz_corpus(dir, AIC_CORPUS_DIR);
   for (const std::string& path : written) std::cout << path << "\n";
   std::cout << written.size() << " corpus seeds written\n";
   return 0;
@@ -210,7 +211,6 @@ int main(int argc, char** argv) {
   try {
     if (args.empty() || args[0] == "--matrix") return run_matrix();
     if (args[0] == "--mmap-matrix") return run_mmap_matrix();
-    if (args[0] == "--stream-matrix") return run_stream_matrix();
     if (args[0] == "--write-corpus") {
       if (args.size() != 2) {
         std::cerr << "usage: fault_inject --write-corpus <dir>\n";
