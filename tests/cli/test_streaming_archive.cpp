@@ -193,5 +193,54 @@ TEST(StreamingArchive, OutParamWriterReusesCapacity) {
   }
 }
 
+/// A seekable sink whose writes fail once `budget` bytes have gone in.
+class FailingBuf : public std::stringbuf {
+ public:
+  explicit FailingBuf(std::size_t budget) : budget_(budget) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    if (static_cast<std::size_t>(n) > budget_) return 0;
+    budget_ -= static_cast<std::size_t>(n);
+    return std::stringbuf::xsputn(s, n);
+  }
+  int_type overflow(int_type ch) override {
+    if (budget_ == 0) return traits_type::eof();
+    --budget_;
+    return std::stringbuf::overflow(ch);
+  }
+
+ private:
+  std::size_t budget_;
+};
+
+/// A sink that fails at any byte, including inside the writer's set-up
+/// (16-byte chunks put encodes in flight while the tensor header is
+/// still being fed), must surface as an exception with every in-flight
+/// encode drained: the session's pooled buffers stay intact, so the
+/// next write on it is bitwise-identical to the reference.
+TEST(StreamingArchive, FailingSinkDrainsInFlightEncodes) {
+  const Tensor input = test_tensor(40);
+  const ArchiveWriteOptions options{
+      .chunk_bytes = 16, .entropy = baseline::ChunkEntropy::kHuffman};
+  Context::Options ctx_options;
+  ctx_options.threads = 4;
+  ctx_options.own_pool = true;
+  const Context ctx{ctx_options};
+  const std::string reference = compress_to_archive_bytes(
+      input, "dctchop:cf=4,block=8", options, nullptr, ctx);
+  for (std::size_t budget = 0; budget < reference.size(); budget += 7) {
+    FailingBuf buf(budget);
+    std::ostream stream(&buf);
+    EXPECT_THROW(compress_to_stream(input, "dctchop:cf=4,block=8", stream,
+                                    options, nullptr, ctx),
+                 std::runtime_error)
+        << "budget=" << budget;
+  }
+  EXPECT_EQ(compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options,
+                                      nullptr, ctx),
+            reference);
+}
+
 }  // namespace
 }  // namespace aic::cli
