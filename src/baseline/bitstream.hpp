@@ -73,6 +73,11 @@ class BitReader {
   /// when fewer remain.
   void skip_bits(std::size_t count);
 
+  /// The underlying buffer and the read position in bits, for decoders
+  /// that scan the stream themselves and skip_bits() what they consumed.
+  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  std::size_t position() const { return position_; }
+
   std::size_t bits_remaining() const {
     const std::size_t whole = bytes_.size() - position_ / 8;
     return whole == 0 ? 0 : whole * 8 - position_ % 8;

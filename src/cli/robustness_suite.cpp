@@ -7,8 +7,10 @@
 #include <iterator>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "baseline/bitstream.hpp"
+#include "baseline/chunk_entropy.hpp"
 #include "baseline/huffman.hpp"
 #include "baseline/rle.hpp"
 #include "cli/archive.hpp"
@@ -49,6 +51,13 @@ std::string archive_bytes_v4(const std::string& spec, std::uint64_t seed,
                                     .entropy = entropy};
   return serialize_archive(compress_to_archive(corpus_seed_tensor(seed), spec),
                            options);
+}
+
+/// fuzz_chunk input: u32 plain_len | one encoded v4 archive chunk.
+std::string chunk_body(const std::string& plain, baseline::ChunkEntropy mode) {
+  std::string body;
+  append<std::uint32_t>(body, static_cast<std::uint32_t>(plain.size()));
+  return body + baseline::encode_chunk(plain, mode);
 }
 
 std::string huffman_body() {
@@ -589,6 +598,27 @@ std::vector<std::string> write_fuzz_corpus(const std::string& dir,
     std::replace(name.begin(), name.end(), ':', '_');
     write(target.corpus_family, "seed_" + name + ".bin", target.bytes);
   }
+  // Chunk seeds: one per entropy mode over small skewed bytes, plus a
+  // Huffman chunk whose Fibonacci-weighted bytes get codes longer than
+  // the 11-bit decode LUT window.
+  std::string skewed;
+  for (std::size_t i = 0; i < 512; ++i) {
+    skewed.push_back(static_cast<char>((i * i) % 7 + (i % 3) * (i % 5)));
+  }
+  std::string long_codes;
+  std::size_t fib_a = 1, fib_b = 1;
+  for (char symbol = 0; symbol < 16; ++symbol) {
+    long_codes.append(fib_a, symbol);
+    fib_a = std::exchange(fib_b, fib_a + fib_b);
+  }
+  write("chunk", "seed_raw.bin",
+        chunk_body(skewed, baseline::ChunkEntropy::kRaw));
+  write("chunk", "seed_packed.bin",
+        chunk_body(skewed, baseline::ChunkEntropy::kPacked));
+  write("chunk", "seed_huffman.bin",
+        chunk_body(skewed, baseline::ChunkEntropy::kHuffman));
+  write("chunk", "seed_huffman_long_codes.bin",
+        chunk_body(long_codes, baseline::ChunkEntropy::kHuffman));
   write("huffman", "seed_body.bin", huffman_body());
   write("rle", "seed_body.bin", rle_body());
   write("bitstream", "seed_body.bin", bitstream_body());

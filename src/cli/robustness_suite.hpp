@@ -71,8 +71,9 @@ std::vector<std::pair<std::string, io::FaultReport>> run_robustness_suite(
 
 /// Writes each target's valid seed stream (and for the non-archive
 /// families, the unsealed body) under `dir`/<family>/ as fuzz corpus
-/// seeds, reading the legacy seeds from `corpus_dir`. Returns the files
-/// written.
+/// seeds, reading the legacy seeds from `corpus_dir`, plus the `chunk`
+/// family (u32 plain_len | one encoded archive chunk, one per entropy
+/// mode). Returns the files written.
 std::vector<std::string> write_fuzz_corpus(const std::string& dir,
                                            const std::string& corpus_dir);
 

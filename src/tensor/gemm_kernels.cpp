@@ -181,7 +181,15 @@ __attribute__((target("avx2,fma"))) inline __m256i tail_mask(
       reinterpret_cast<const __m256i*>(kMaskSrc + 8 - lanes));
 }
 
-__attribute__((target("avx2,fma"))) void micro_tile_avx2(
+// The AVX2 kernels start on a 64-byte boundary. Their inner loops are a
+// few instructions long, so where they fall relative to the 32- and
+// 64-byte fetch boundaries decides their speed: a 32-byte shift of the
+// code linked before them, from a size change elsewhere in the binary,
+// cost perfbench batch_roundtrip_256 12% (4-vCPU Xeon). Pinning them
+// keeps their speed independent of unrelated code size.
+#define AIC_AVX2_KERNEL __attribute__((target("avx2,fma"), aligned(64)))
+
+AIC_AVX2_KERNEL void micro_tile_avx2(
     std::size_t k, const float* ap, const float* bp, float* c,
     std::size_t ldc, std::size_t mr, std::size_t nr, bool accumulate) {
   // 6×16 accumulator: 12 ymm accumulators + 2 B vectors + 1 broadcast.
@@ -245,10 +253,8 @@ __attribute__((target("avx2,fma"))) void micro_tile_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void axpy_avx2(float alpha,
-                                                   const float* src,
-                                                   float* dst,
-                                                   std::size_t n) {
+AIC_AVX2_KERNEL void axpy_avx2(float alpha, const float* src, float* dst,
+                               std::size_t n) {
   const __m256 va = _mm256_set1_ps(alpha);
   std::size_t j = 0;
   for (; j + 8 <= n; j += 8) {
@@ -266,7 +272,7 @@ __attribute__((target("avx2,fma"))) void axpy_avx2(float alpha,
 
 // One strip of ≤16 columns of the small-block MAC: C row segment stays in
 // two (masked) vectors across the whole k loop.
-__attribute__((target("avx2,fma"))) void block_mac_avx2_strip(
+AIC_AVX2_KERNEL void block_mac_avx2_strip(
     std::size_t m, std::size_t n, std::size_t k, const float* a,
     std::size_t lda, const float* b, std::size_t ldb, float* c,
     std::size_t ldc) {

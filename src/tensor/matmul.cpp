@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "runtime/aligned_buffer.hpp"
+#include "runtime/context.hpp"
 #include "runtime/parallel_for.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/gemm_kernels.hpp"
 
 namespace aic::tensor {
@@ -20,17 +24,61 @@ constexpr std::size_t kBandGrain = 16;
 
 std::atomic<std::uint64_t> g_scratch_reallocs{0};
 
-// Per-thread scratch for the sandwich mid product. Workers of the global
-// pool are long-lived, so after warm-up repeated calls of the same shapes
-// never allocate.
-float* thread_scratch(std::size_t count) {
-  thread_local runtime::AlignedBuffer<float> buffer;
-  if (buffer.size() < count) {
-    buffer = runtime::AlignedBuffer<float>(count);
-    g_scratch_reallocs.fetch_add(1, std::memory_order_relaxed);
+/// The sandwich mid-product scratch of one calling thread: one slot per
+/// worker of the pool its call fans out on, all sized by the caller
+/// before the fan-out. A chunk borrows a free slot for its duration, and
+/// a worker runs one chunk at a time, so workers never allocate: how
+/// often scratch grows depends on the call shapes and the pool size
+/// alone, never on which workers pick up the chunks.
+class MidScratch {
+ public:
+  /// The calling thread's scratch with every slot holding `floats`.
+  static MidScratch& prepare(std::size_t floats) {
+    thread_local MidScratch scratch;
+    const std::size_t slots =
+        std::max<std::size_t>(runtime::current_pool()->size(), 1);
+    if (scratch.buffers_.size() < slots) scratch.buffers_.resize(slots);
+    scratch.free_.clear();
+    for (runtime::AlignedBuffer<float>& buffer : scratch.buffers_) {
+      if (buffer.size() < floats) {
+        buffer = runtime::AlignedBuffer<float>(floats);
+        g_scratch_reallocs.fetch_add(1, std::memory_order_relaxed);
+      }
+      scratch.free_.push_back(buffer.data());
+    }
+    return scratch;
   }
-  return buffer.data();
-}
+
+  /// A slot borrowed for one chunk, returned when the lease ends.
+  class Lease {
+   public:
+    explicit Lease(MidScratch& owner) : owner_(owner) {
+      const std::lock_guard<std::mutex> lock(owner_.mutex_);
+      if (owner_.free_.empty()) {
+        throw std::logic_error("sandwich: more chunks in flight than slots");
+      }
+      slot_ = owner_.free_.back();
+      owner_.free_.pop_back();
+    }
+    ~Lease() {
+      const std::lock_guard<std::mutex> lock(owner_.mutex_);
+      owner_.free_.push_back(slot_);
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    float* data() const { return slot_; }
+
+   private:
+    MidScratch& owner_;
+    float* slot_ = nullptr;
+  };
+
+ private:
+  std::vector<runtime::AlignedBuffer<float>> buffers_;
+  std::mutex mutex_;  // guards free_
+  std::vector<float*> free_;
+};
 
 void require_float32(const Tensor& t, const char* kernel, const char* what) {
   if (t.dtype() != DType::kFloat32) {
@@ -44,10 +92,9 @@ void require_float32(const Tensor& t, const char* kernel, const char* what) {
 // stages through the shared gemm (which degrades to inline execution on
 // pool workers — the caller owns the plane-level parallelism).
 void sandwich_plane_dense(const float* lhs, const float* plane,
-                          const float* rhs, float* out_plane, std::size_t h,
-                          std::size_t w, std::size_t out_h,
+                          const float* rhs, float* out_plane, float* mid,
+                          std::size_t h, std::size_t w, std::size_t out_h,
                           std::size_t out_w) {
-  float* mid = thread_scratch(h * out_w);
   {
     AIC_TRACE_SCOPE("sandwich.rhs_mm");
     gemm(Trans::kNo, Trans::kNo, h, out_w, w, plane, w, rhs, out_w, mid,
@@ -66,14 +113,16 @@ struct SandwichDims {
 
 void sandwich_dense(const float* lhs, const float* in, const float* rhs,
                     float* out, const SandwichDims& d) {
+  MidScratch& scratch = MidScratch::prepare(d.h * d.out_w);
   runtime::parallel_for_chunks(
       0, d.planes,
       [&](std::size_t lo, std::size_t hi) {
         AIC_TRACE_SCOPE("sandwich.dense_chunk");
+        const MidScratch::Lease mid(scratch);
         for (std::size_t plane = lo; plane < hi; ++plane) {
           sandwich_plane_dense(lhs, in + plane * d.h * d.w, rhs,
-                               out + plane * d.out_h * d.out_w, d.h, d.w,
-                               d.out_h, d.out_w);
+                               out + plane * d.out_h * d.out_w, mid.data(),
+                               d.h, d.w, d.out_h, d.out_w);
         }
       },
       {.grain = 1});
@@ -92,11 +141,13 @@ void sandwich_banded(const float* lhs, const float* in, const float* rhs,
                      std::size_t lb_c, std::size_t rb_r, std::size_t rb_c) {
   const std::size_t bands = d.h / lb_c;
   const std::size_t rhs_bands = d.w / rb_r;
+  MidScratch& scratch = MidScratch::prepare(lb_c * d.out_w);
   runtime::parallel_for_chunks(
       0, d.planes * bands,
       [&](std::size_t lo, std::size_t hi) {
         AIC_TRACE_SCOPE("sandwich.banded_chunk");
-        float* mid = thread_scratch(lb_c * d.out_w);
+        const MidScratch::Lease lease(scratch);
+        float* mid = lease.data();
         std::uint64_t mac_local = 0, axpy_local = 0;
         for (std::size_t item = lo; item < hi; ++item) {
           const std::size_t plane = item / bands;

@@ -76,9 +76,11 @@ void sandwich_planes_into(const Tensor& lhs, const Tensor& in,
 void sandwich_planes(const Tensor& lhs, const Tensor& in, const Tensor& rhs,
                      Tensor& out);
 
-/// Number of times any thread's sandwich scratch buffer has been
-/// (re)allocated since process start. Constant across repeated calls of
-/// the same shapes — the steady state allocates nothing.
+/// Number of sandwich scratch buffer (re)allocations since process
+/// start. Each calling thread sizes one buffer per worker of its pool
+/// before fanning out, so the count is constant across repeated calls of
+/// the same shapes whichever workers run the chunks — the steady state
+/// allocates nothing.
 std::uint64_t sandwich_scratch_reallocs() noexcept;
 
 /// Floating-point-operation count of `matmul(a, b)` (2·m·n·k).
