@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "core/chop.hpp"
 #include "core/codec_factory.hpp"
 #include "core/dct.hpp"
 #include "core/fidelity.hpp"
@@ -178,14 +179,14 @@ int main() {
     io::Table table({"block", "CF", "MSE", "PSNR (dB)", "operator bytes"});
     for (std::size_t block : {4u, 8u, 16u}) {
       const std::size_t cf = block / 2;  // CR = block²/cf² = 4
-      // Pinned (h=/w=) so the operand tensors are inspectable below.
       const core::CodecPtr codec =
           chop(cf, block, ",h=" + std::to_string(kRes) +
                               ",w=" + std::to_string(kRes));
       const auto rd = core::evaluate_codec(*codec, images);
-      const auto& dc = dynamic_cast<const core::DctChopCodec&>(*codec);
+      // The dense Eq. 4 operator pair a two-matmul graph carries.
       const std::size_t operator_bytes =
-          dc.lhs().size_bytes() + dc.rhs().size_bytes();
+          core::make_lhs(kRes, cf, block).size_bytes() +
+          core::make_rhs(kRes, cf, block).size_bytes();
       table.add_row({std::to_string(block), std::to_string(cf),
                      io::Table::num(rd.mse, 4), io::Table::num(rd.psnr_db, 4),
                      std::to_string(operator_bytes)});

@@ -18,8 +18,10 @@
 #include "baseline/jpeg_codec.hpp"
 #include "baseline/zfp_like.hpp"
 #include "bench/common.hpp"
+#include "core/chop.hpp"
 #include "core/codec_factory.hpp"
 #include "core/dct_chop.hpp"
+#include "core/plan_cache.hpp"
 #include "data/synth.hpp"
 #include "runtime/cpu_features.hpp"
 #include "runtime/rng.hpp"
@@ -87,8 +89,6 @@ void report_codec_stats(benchmark::State& state, const core::Codec& codec) {
   if (snap.decompress.calls > 0) {
     state.counters["decomp_GFLOP/s"] = snap.decompress.gflops_per_second();
   }
-  state.counters["scratch_reallocs"] =
-      static_cast<double>(tensor::sandwich_scratch_reallocs());
 }
 
 void BM_Matmul(benchmark::State& state) {
@@ -166,28 +166,33 @@ BENCHMARK_CAPTURE(gemm_bench, avx2_tn, KernelBackend::kAvx2, Trans::kYes,
                   Trans::kNo)
     ->Args({256, 128, 784});
 
-// Full codec round trip (compress + decompress) per backend: how much of
-// the microkernel win survives end-to-end through the banded sandwich.
+// Eq. 4 + Eq. 6 through the plan's block kernel per backend, into
+// preallocated tensors: how much of the microkernel win survives in the
+// codec's own transform.
 void sandwich_roundtrip_bench(benchmark::State& state, KernelBackend backend) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
   BackendScope scope(state, backend);
   if (!scope) return;
-  const core::CodecPtr codec = make_chop("dctchop", n, cf);
+  const auto plan = core::resolve_dct_chop_plan(
+      Context::process_default(), n, n, cf, 8, core::TransformKind::kDct2);
   const Tensor batch = make_batch(4, 3, n);
+  Tensor packed(plan->packed_shape(batch.shape()));
+  Tensor restored(batch.shape());
   for (auto _ : state) {
-    Tensor packed = codec->compress(batch);
-    Tensor restored = codec->decompress(packed, batch.shape());
+    plan->compress_into(batch, packed);
+    plan->decompress_into(packed, restored);
     benchmark::DoNotOptimize(restored.raw());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch.size_bytes()));
-  report_codec_stats(state, *codec);
 }
 BENCHMARK_CAPTURE(sandwich_roundtrip_bench, scalar, KernelBackend::kScalar)
-    ->Args({256, 4});
+    ->Args({256, 4})
+    ->UseRealTime();
 BENCHMARK_CAPTURE(sandwich_roundtrip_bench, avx2, KernelBackend::kAvx2)
-    ->Args({256, 4});
+    ->Args({256, 4})
+    ->UseRealTime();
 
 void BM_DctChopCompress(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -206,7 +211,8 @@ BENCHMARK(BM_DctChopCompress)
     ->Args({32, 2})
     ->Args({32, 7})
     ->Args({64, 4})
-    ->Args({128, 4});
+    ->Args({128, 4})
+    ->UseRealTime();
 
 void BM_DctChopDecompress(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -222,12 +228,15 @@ void BM_DctChopDecompress(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size_bytes()));
   report_codec_stats(state, *codec);
 }
-BENCHMARK(BM_DctChopDecompress)->Args({32, 2})->Args({64, 4})->Args({128, 4});
+BENCHMARK(BM_DctChopDecompress)
+    ->Args({32, 2})
+    ->Args({64, 4})
+    ->Args({128, 4})
+    ->UseRealTime();
 
 // The acceptance workload of this repo's hot path: compress + decompress a
 // 16×3×1024×1024 batch at CF=4 through the structurally-sparse batched
-// kernel. `scratch_reallocs` stays flat across iterations — the steady
-// state performs zero per-plane heap allocations inside the sandwich.
+// kernel, whose mid strip lives on each worker's stack.
 void BM_DctChopRoundTripLargeBatch(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
@@ -245,27 +254,37 @@ void BM_DctChopRoundTripLargeBatch(benchmark::State& state) {
 BENCHMARK(BM_DctChopRoundTripLargeBatch)
     ->Args({1024, 4})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
+    ->Iterations(3)
+    ->UseRealTime();
 
-// Same sandwich, structure hint withheld: the generic dense-plane path
-// (what every compress ran before the structural fast path existed, minus
-// its per-plane allocations). The ratio to BM_DctChopCompress is the win
-// from exploiting the chop sparsity structurally.
+// The same Eq. 4 as two dense GEMMs per plane over the make_lhs/make_rhs
+// operators (the graph form the accelerator simulators execute). The
+// ratio to BM_DctChopCompress is the win from executing the chop tile
+// instead of the dense operators.
 void BM_SandwichDenseReference(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
   const Tensor lhs = core::make_lhs(n, cf);
   const Tensor rhs = core::make_rhs(n, cf);
   const Tensor batch = make_batch(4, 3, n);
-  Tensor packed(Shape::bchw(4, 3, cf * n / 8, cf * n / 8));
+  const std::size_t cn = cf * n / 8;
+  Tensor mid(Shape::matrix(n, cn));
+  Tensor packed(Shape::matrix(cn, cn));
   for (auto _ : state) {
-    tensor::sandwich_planes_into(lhs, batch, rhs, packed, {});
-    benchmark::DoNotOptimize(packed.raw());
+    for (std::size_t plane = 0; plane < 4 * 3; ++plane) {
+      tensor::gemm(Trans::kNo, Trans::kNo, n, cn, n, batch.raw() + plane * n * n,
+                   n, rhs.raw(), cn, mid.raw(), cn, /*accumulate=*/false);
+      tensor::matmul_into(lhs, mid, packed);
+      benchmark::DoNotOptimize(packed.raw());
+    }
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch.size_bytes()));
 }
-BENCHMARK(BM_SandwichDenseReference)->Args({64, 4})->Args({128, 4});
+BENCHMARK(BM_SandwichDenseReference)
+    ->Args({64, 4})
+    ->Args({128, 4})
+    ->UseRealTime();
 
 void BM_TriangleRoundTrip(benchmark::State& state) {
   const std::size_t cf = static_cast<std::size_t>(state.range(0));
@@ -290,7 +309,7 @@ void BM_ZfpLikeCompress(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(plane.size_bytes()));
 }
-BENCHMARK(BM_ZfpLikeCompress)->Arg(2)->Arg(8)->Arg(16);
+BENCHMARK(BM_ZfpLikeCompress)->Arg(2)->Arg(8)->Arg(16)->UseRealTime();
 
 void BM_JpegLikeCompress(benchmark::State& state) {
   const int quality = static_cast<int>(state.range(0));
@@ -304,7 +323,7 @@ void BM_JpegLikeCompress(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(plane.size_bytes()));
 }
-BENCHMARK(BM_JpegLikeCompress)->Arg(10)->Arg(50)->Arg(90);
+BENCHMARK(BM_JpegLikeCompress)->Arg(10)->Arg(50)->Arg(90)->UseRealTime();
 
 void BM_MakeOperators(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

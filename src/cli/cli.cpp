@@ -1,5 +1,6 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -112,6 +113,51 @@ std::string flag_string(const Options& options, const std::string& name,
   return it == options.flags.end() ? fallback : it->second;
 }
 
+/// The value flags `command` reads. --threads is read before dispatch and
+/// applies to every command.
+std::vector<std::string> command_flags(const std::string& command) {
+  if (command == "gen") return {"batch", "channels", "res", "seed"};
+  if (command == "compress") {
+    return {"codec", "cf", "block", "transform", "chunk-bytes", "entropy"};
+  }
+  if (command == "eval") return {"codec", "cf", "block", "transform"};
+  if (command == "serve") {
+    return {"obs-port", "duration-ms", "interval-ms", "sessions"};
+  }
+  return {};
+}
+
+/// Rejects every flag `command` would not read, so a misspelt or retired
+/// flag fails loudly instead of silently changing nothing.
+void check_flags(const std::string& command, const Options& options) {
+  const std::string who = command.empty() ? "aicomp" : command;
+  const auto reject = [&who](const std::string& flag, const char* why) {
+    throw std::invalid_argument(who + ": " + why + " --" + flag);
+  };
+  const std::vector<std::string> known = command_flags(command);
+  for (const auto& [name, value] : options.flags) {
+    if (name != "threads" &&
+        std::find(known.begin(), known.end(), name) == known.end()) {
+      reject(name, "unknown flag");
+    }
+  }
+  const bool reads_codec = command == "compress" || command == "eval";
+  if (options.triangle && !reads_codec) reject("triangle", "unknown flag");
+  if (options.stats && !reads_codec && command != "decompress" &&
+      command != "verify") {
+    reject("stats", "unknown flag");
+  }
+  if (options.flags.count("codec") != 0) {
+    // --codec carries the whole spec; the classic flags would be ignored.
+    for (const char* classic : {"cf", "block", "transform"}) {
+      if (options.flags.count(classic) != 0) {
+        reject(classic, "--codec already sets the codec; drop");
+      }
+    }
+    if (options.triangle) reject("triangle", "--codec already sets the codec; drop");
+  }
+}
+
 /// The codec spec for a command: --codec verbatim when given, else
 /// synthesized from the classic --cf/--block/--transform/--triangle
 /// flags. Either way the codec is built by core::CodecFactory.
@@ -160,7 +206,9 @@ int usage(std::ostream& err) {
          "  dctchop:cf=4, partial:cf=4,s=2, triangle:cf=4, zfp:rate=8,\n"
          "  sz:eb=1e-3, jpeg:q=85. `aicomp codecs` lists every kind.\n"
          "  (compress accepts only the dctchop/triangle/partial family;\n"
-         "  eval accepts any registered codec.)\n"
+         "  eval accepts any registered codec.) A flag the command does\n"
+         "  not read exits 1 naming it; --codec excludes --cf/--block/\n"
+         "  --transform/--triangle.\n"
          "  --stats prints per-codec counters (calls, planes, Eq. 5/7\n"
          "  FLOPs, bytes, wall time) after the operation, plus chunked-\n"
          "  pipeline and thread-pool counters when a v4 archive moved.\n"
@@ -679,6 +727,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     const bool bare = args[0].rfind("--", 0) == 0;
     const std::string command = bare ? "" : args[0];
     const Options options = parse(args, bare ? 0 : 1);
+    check_flags(command, options);
 
     // Pool sizing precedence: --threads, then AIC_THREADS, then the
     // legacy AIC_NUM_THREADS alias, then hardware concurrency. The env

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "tensor/matmul.hpp"
-
 namespace aic::core {
 
 using tensor::Shape;
@@ -45,11 +43,27 @@ double triangle_ratio(std::size_t cf, std::size_t block) {
   return static_cast<double>(block * block) / retained;
 }
 
+Tensor chop_tile(std::size_t cf, std::size_t block, TransformKind kind) {
+  validate(block, cf, block);
+  const Tensor t = transform_matrix(kind, block);
+  Tensor tile(Shape::matrix(cf, block));
+  for (std::size_t i = 0; i < cf * block; ++i) tile.at(i) = t.at(i);
+  return tile;
+}
+
 Tensor make_lhs(std::size_t n, std::size_t cf, std::size_t block,
                 TransformKind kind) {
   validate(n, cf, block);
-  return tensor::matmul(chop_mask(n, cf, block),
-                        block_diagonal_transform(kind, n, block));
+  const Tensor tile = chop_tile(cf, block, kind);
+  Tensor lhs(Shape::matrix(cf * n / block, n));
+  for (std::size_t base = 0; base < n / block; ++base) {
+    for (std::size_t r = 0; r < cf; ++r) {
+      for (std::size_t j = 0; j < block; ++j) {
+        lhs.at(base * cf + r, base * block + j) = tile.at(r, j);
+      }
+    }
+  }
+  return lhs;
 }
 
 Tensor make_rhs(std::size_t n, std::size_t cf, std::size_t block,

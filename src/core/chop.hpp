@@ -24,10 +24,16 @@ double chop_ratio(std::size_t cf, std::size_t block = kDefaultBlock);
 /// block² / (CF(CF+1)/2).
 double triangle_ratio(std::size_t cf, std::size_t block = kDefaultBlock);
 
+/// The CF×block tile every diagonal block of LHS = M · T_L repeats
+/// (Fig. 4): the first CF rows of the block transform. `kind` selects the
+/// transform (DCT-II by default; §6's alternative-transform future work
+/// plugs in here). Requires 1 <= cf <= block.
+tensor::Tensor chop_tile(std::size_t cf, std::size_t block = kDefaultBlock,
+                         TransformKind kind = TransformKind::kDct2);
+
 /// LHS = M · T_L, the (CF·n/block) × n compression operator applied on
-/// the left of Eq. 4; precomputed once ("at compile time" in the paper).
-/// `kind` selects the block transform (DCT-II by default; §6's
-/// alternative-transform future work plugs in here).
+/// the left of Eq. 4: chop_tile() on the block diagonal. The dense form
+/// serves the accelerator graph constants; the codec executes the tile.
 tensor::Tensor make_lhs(std::size_t n, std::size_t cf,
                         std::size_t block = kDefaultBlock,
                         TransformKind kind = TransformKind::kDct2);

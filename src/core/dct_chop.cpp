@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/timer.hpp"
-#include "tensor/matmul.hpp"
 
 namespace aic::core {
 
@@ -45,22 +44,6 @@ std::shared_ptr<const DctChopPlan> DctChopCodec::plan_for(
   }
   return resolve_dct_chop_plan(ctx_, height, width, config_.cf, config_.block,
                                config_.transform);
-}
-
-const Tensor& DctChopCodec::lhs() const {
-  if (!pinned_) {
-    throw std::logic_error(
-        "DctChopCodec::lhs: shape-agnostic codec has no pinned operands");
-  }
-  return pinned_->lhs_h();
-}
-
-const Tensor& DctChopCodec::rhs() const {
-  if (!pinned_) {
-    throw std::logic_error(
-        "DctChopCodec::rhs: shape-agnostic codec has no pinned operands");
-  }
-  return pinned_->rhs_w();
 }
 
 std::string DctChopCodec::name() const {

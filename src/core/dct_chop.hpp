@@ -7,7 +7,6 @@
 #include "core/codec.hpp"
 #include "core/dct.hpp"
 #include "core/plan.hpp"
-#include "tensor/matmul.hpp"
 
 namespace aic::obs {
 class Histogram;
@@ -41,11 +40,12 @@ struct DctChopConfig {
 ///   compress    Y  = LHS · A · RHS     (Eq. 4)
 ///   decompress  A' = RHS · Y · LHS     (Eq. 6)
 ///
-/// with LHS = M·T_L precomputed in a DctChopPlan ("compile time"). The
-/// codec itself is a thin stateful shell — stats and latency metrics —
-/// over the immutable plan; plans are shared through the PlanCache, so
-/// two codecs at the same (shape, cf, block, transform) execute the same
-/// operand storage.
+/// with LHS = M·T_L precomputed in a DctChopPlan ("compile time") as the
+/// one CF×block tile it repeats. The codec itself is a thin stateful
+/// shell — stats and latency metrics — over the immutable plan; plans are
+/// shared through the PlanCache, so two codecs at the same (shape, cf,
+/// block, transform) execute the same plan. The dense operators come
+/// from make_lhs()/make_rhs().
 class DctChopCodec final : public Codec {
  public:
   explicit DctChopCodec(DctChopConfig config,
@@ -74,12 +74,6 @@ class DctChopCodec final : public Codec {
   /// PlanCache resolution for shape-agnostic codecs.
   std::shared_ptr<const DctChopPlan> plan_for(std::size_t height,
                                               std::size_t width) const;
-
-  /// The precomputed LHS operator for the height dimension. Requires a
-  /// pinned codec (shape-agnostic codecs have one pair per resolution).
-  const tensor::Tensor& lhs() const;
-  /// The precomputed RHS operator for the width dimension (pinned only).
-  const tensor::Tensor& rhs() const;
 
   /// Closed-form FLOP count of compressing one n×n plane (Eq. 5),
   /// using the (2k−1)-ops-per-dot-product convention of the paper.

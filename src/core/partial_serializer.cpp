@@ -245,7 +245,11 @@ std::size_t PartialSerialCodec::operator_bytes() const {
     throw std::logic_error(
         "PartialSerialCodec::operator_bytes: requires a pinned codec");
   }
-  return chunk_codec_->lhs().size_bytes() + chunk_codec_->rhs().size_bytes();
+  const std::size_t h = pinned_->chunk_h();
+  const std::size_t w = pinned_->chunk_w();
+  return (config_.cf * h / config_.block * h +
+          w * (config_.cf * w / config_.block)) *
+         sizeof(float);
 }
 
 std::size_t PartialSerialCodec::workspace_bytes(std::size_t batch,

@@ -53,14 +53,14 @@ class PartialSerialCodec final : public Codec {
   std::shared_ptr<const PartialSerialPlan> plan_for(std::size_t height,
                                                     std::size_t width) const;
 
-  /// Bytes of operator state (LHS + RHS) resident while one chunk is in
-  /// flight — the quantity the optimization exists to shrink. Pinned
-  /// codecs only.
+  /// Bytes of the dense chunk operators (LHS + RHS) that the two-matmul
+  /// graph of one chunk holds as constants — the quantity the
+  /// optimization exists to shrink. Pinned codecs only.
   std::size_t operator_bytes() const;
 
   /// The *full* working set of one in-flight chunk beyond input+output:
   /// chunk input/packed staging (batch×channels deep) plus the chunk
-  /// executor's sandwich scratch. operator_bytes() deliberately excludes
+  /// executor's own working set. operator_bytes() deliberately excludes
   /// these, which made accel memory-capacity checks optimistic — use this
   /// for capacity accounting. Pinned codecs only.
   std::size_t workspace_bytes(std::size_t batch, std::size_t channels) const;

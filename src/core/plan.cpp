@@ -1,16 +1,15 @@
 #include "core/plan.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/chop.hpp"
 #include "core/plan_cache.hpp"
 #include "core/zigzag.hpp"
+#include "tensor/matmul.hpp"
 
 namespace aic::core {
 
-using tensor::BandedSpec;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -126,35 +125,8 @@ PlanKey triangle_plan_key(std::size_t height, std::size_t width,
 DctChopPlan::DctChopPlan(const PlanKey& key) : CodecPlan(key) {
   validate_chop_geometry("DctChopPlan", key.height, key.width, key.cf,
                          key.block);
-  // Satellite: Eq. 4/6 give RHS = LHSᵀ, so one make_lhs() matmul per
-  // unique dimension is enough; the transpose is a copy, not a rebuild.
-  // Square plans (the common case) share one pair for both axes.
-  auto build_operand = [&key](std::size_t n) {
-    auto lhs = std::make_shared<Tensor>(
-        make_lhs(n, key.cf, key.block, key.transform));
-    auto rhs = std::make_shared<Tensor>(lhs->transposed());
-    return ChopOperand{std::move(lhs), std::move(rhs)};
-  };
-  op_h_ = build_operand(key.height);
-  op_w_ = (key.width == key.height) ? op_h_ : build_operand(key.width);
-
-  // Chop operators are block-banded by construction (Fig. 4): LHS keeps
-  // CF rows per block-column block, RHS = LHSᵀ. Verify once at "compile
-  // time" and hand the structure to the sandwich kernel; an operator
-  // that ever stops matching simply runs on the dense path.
-  const BandedSpec lhs_spec{key.cf, key.block};  // (CF·n/b)×n operators
-  const BandedSpec rhs_spec{key.block, key.cf};  // n×(CF·n/b) operators
-  const bool h_banded = tensor::is_block_banded(*op_h_.lhs, lhs_spec) &&
-                        tensor::is_block_banded(*op_h_.rhs, rhs_spec);
-  const bool w_banded =
-      shares_square_operands()
-          ? h_banded
-          : tensor::is_block_banded(*op_w_.lhs, lhs_spec) &&
-                tensor::is_block_banded(*op_w_.rhs, rhs_spec);
-  if (h_banded && w_banded) {
-    compress_bands_ = {.lhs_bands = lhs_spec, .rhs_bands = rhs_spec};
-    decompress_bands_ = {.lhs_bands = rhs_spec, .rhs_bands = lhs_spec};
-  }
+  tile_ = chop_tile(key.cf, key.block, key.transform);
+  tile_t_ = tile_.transposed();
 }
 
 Shape DctChopPlan::packed_shape(const Shape& input) const {
@@ -171,37 +143,22 @@ Shape DctChopPlan::packed_shape(const Shape& input) const {
 }
 
 void DctChopPlan::compress_into(const Tensor& input, Tensor& out) const {
-  tensor::sandwich_planes_into(*op_h_.lhs, input, *op_w_.rhs, out,
-                               compress_bands_);
+  tensor::block_sandwich_into(tile_, input, tile_t_, out);
 }
 
 void DctChopPlan::decompress_into(const Tensor& packed, Tensor& out) const {
-  // Eq. 6: A' = RHS · Y · LHS — the same operators with roles swapped.
-  tensor::sandwich_planes_into(*op_h_.rhs, packed, *op_w_.lhs, out,
-                               decompress_bands_);
+  // Eq. 6: A' = RHS · Y · LHS — the same tiles with roles swapped.
+  tensor::block_sandwich_into(tile_t_, packed, tile_, out);
 }
 
 std::size_t DctChopPlan::resident_bytes() const {
-  std::size_t bytes = op_h_.lhs->size_bytes() + op_h_.rhs->size_bytes();
-  if (!shares_square_operands()) {
-    bytes += op_w_.lhs->size_bytes() + op_w_.rhs->size_bytes();
-  }
-  return bytes;
+  return tile_.size_bytes() + tile_t_.size_bytes();
 }
 
 std::size_t DctChopPlan::workspace_bytes(std::size_t /*batch*/,
                                          std::size_t /*channels*/) const {
-  // The sandwich kernel's per-worker mid-product strip: lb_c×out_w floats
-  // on the banded path, full h×out_w on the dense fallback. Scratch is
-  // per worker thread and does not scale with batch or channels.
-  const PlanKey& k = key();
-  const std::size_t ch = k.cf * k.height / k.block;
-  const std::size_t cw = k.cf * k.width / k.block;
-  const bool banded = compress_bands_.lhs_bands.valid();
-  const std::size_t compress_floats =
-      (banded ? k.block : k.height) * cw;
-  const std::size_t decompress_floats = (banded ? k.cf : ch) * k.width;
-  return std::max(compress_floats, decompress_floats) * sizeof(float);
+  // The block kernel's mid strip lives on each worker's stack.
+  return 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/transforms.hpp"
-#include "tensor/matmul.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
 
@@ -51,8 +50,8 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& key) const noexcept;
 };
 
-/// An immutable compiled artifact: operands, index tables, banded specs
-/// and an exact byte plan for one (codec kind, shape) pair. Plans are
+/// An immutable compiled artifact: operand tiles, index tables and an
+/// exact byte plan for one (codec kind, shape) pair. Plans are
 /// built once, shared via shared_ptr through the PlanCache, and executed
 /// by stateless `*_into` methods — executing a plan never mutates it and
 /// never constructs an operand.
@@ -70,9 +69,9 @@ class CodecPlan {
   virtual std::size_t resident_bytes() const = 0;
 
   /// Exact executor working set beyond the input and output buffers for
-  /// one batch×channels call: per-worker sandwich scratch plus any
-  /// staging tensors the executor allocates. This is the quantity accel
-  /// memory-capacity checks must add to activation bytes.
+  /// one batch×channels call: the staging tensors the executor
+  /// allocates. This is the quantity accel memory-capacity checks must
+  /// add to activation bytes.
   virtual std::size_t workspace_bytes(std::size_t batch,
                                       std::size_t channels) const = 0;
 
@@ -80,35 +79,19 @@ class CodecPlan {
   PlanKey key_;
 };
 
-/// One (LHS, RHS) operand pair for dimension n. Eq. 4/6 give RHS = LHSᵀ,
-/// so the pair is built from a single make_lhs() product; the transpose
-/// is a cheap copy, and square plans share one pair for both axes.
-struct ChopOperand {
-  std::shared_ptr<const tensor::Tensor> lhs;  // (CF·n/block) × n
-  std::shared_ptr<const tensor::Tensor> rhs;  // n × (CF·n/block), = lhsᵀ
-};
-
-/// Compiled plan for the paper's two-matmul codec (§3.2–3.4): operands
-/// for both axes, verified band structure, and the sandwich executors.
+/// Compiled plan for the paper's two-matmul codec (§3.2–3.4). LHS = M·T_L
+/// is block-diagonal with every block the same CF×block tile, the first
+/// CF rows of the block transform (Fig. 4), and RHS = LHSᵀ repeats its
+/// transpose; both axes share the pair. The plan holds just that tile
+/// and its transpose, whatever H and W are, and executes Eq. 4/6 with
+/// tensor::block_sandwich_into.
 class DctChopPlan final : public CodecPlan {
  public:
   explicit DctChopPlan(const PlanKey& key);
 
-  // Operand views in the roles of Eq. 4 (compress) and Eq. 6 (decompress).
-  const tensor::Tensor& lhs_h() const { return *op_h_.lhs; }
-  const tensor::Tensor& rhs_w() const { return *op_w_.rhs; }
-  const tensor::Tensor& rhs_h() const { return *op_h_.rhs; }
-  const tensor::Tensor& lhs_w() const { return *op_w_.lhs; }
-  const tensor::SandwichOptions& compress_bands() const {
-    return compress_bands_;
-  }
-  const tensor::SandwichOptions& decompress_bands() const {
-    return decompress_bands_;
-  }
-  /// True when H == W and both axes share one operand pair's storage.
-  bool shares_square_operands() const {
-    return op_h_.lhs.get() == op_w_.lhs.get();
-  }
+  /// The CF×block tile of LHS (chop_tile) and its block×CF transpose.
+  const tensor::Tensor& tile() const { return tile_; }
+  const tensor::Tensor& tile_t() const { return tile_t_; }
 
   tensor::Shape packed_shape(const tensor::Shape& input) const;
 
@@ -123,16 +106,14 @@ class DctChopPlan final : public CodecPlan {
                               std::size_t channels) const override;
 
  private:
-  ChopOperand op_h_;  // operands for the height axis
-  ChopOperand op_w_;  // aliases op_h_ when the plan is square
-  tensor::SandwichOptions compress_bands_;
-  tensor::SandwichOptions decompress_bands_;
+  tensor::Tensor tile_;    // cf × block
+  tensor::Tensor tile_t_;  // block × cf
 };
 
 /// Compiled plan for partial serialization (§3.5.1): geometry of the s×s
 /// chunk grid plus the shared chunk-resolution DctChopPlan. The chunk
 /// plan is resolved through the PlanCache, so a 2× subdivided 32×32 plan
-/// and a plain 16×16 plan share the same operand storage.
+/// and a plain 16×16 plan share one cache entry.
 class PartialSerialPlan final : public CodecPlan {
  public:
   PartialSerialPlan(const PlanKey& key,

@@ -69,7 +69,7 @@ std::shared_ptr<const CodecPlan> PlanCache::resolve(const PlanKey& key,
   // Built under the lock: a key is compiled exactly once per cache,
   // which keeps plan_cache.build_count deterministic (it equals the
   // number of distinct keys ever requested) and spares concurrent
-  // resolvers of the same key from duplicating the operand matmuls.
+  // resolvers of the same key from duplicating the build.
   // Nested resolves (partial → chunk) re-enter through the recursive
   // mutex.
   runtime::Timer timer;

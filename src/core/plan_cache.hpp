@@ -27,8 +27,8 @@ namespace aic::core {
 ///
 /// This is the repo's answer to the paper's compile-once/run-per-batch
 /// split at production scale: the first request for a (codec, shape)
-/// pair pays the operand build, every later request — from any thread,
-/// any codec instance, any graph builder — is a shared_ptr copy.
+/// pair pays the plan build, every later request — from any thread or
+/// codec instance — is a shared_ptr copy.
 ///
 /// Thread safety: resolve() is fully synchronized; builds happen under
 /// the lock so a key is built exactly once (deterministic

@@ -11,22 +11,20 @@ using tensor::Shape;
 
 namespace {
 
-std::shared_ptr<const core::DctChopPlan> resolve_plan(
-    const core::DctChopConfig& c, const Context& ctx) {
-  // Same PlanCache the session's codecs execute from: the graph constants
-  // are emitted from the identical operand storage, and building a graph
-  // for a shape the codec path already compiled costs no operand matmuls.
-  // (This also honors config.transform, which the old direct
-  // make_lhs/make_rhs calls silently ignored.)
-  return core::resolve_dct_chop_plan(ctx, c.height, c.width, c.cf, c.block,
-                                     c.transform);
+// The dense Eq. 4/6 operators for one axis of `c` (honoring c.transform):
+// the graph constants the accelerator simulators execute.
+tensor::Tensor lhs_for(const core::DctChopConfig& c, std::size_t n) {
+  return core::make_lhs(n, c.cf, c.block, c.transform);
+}
+
+tensor::Tensor rhs_for(const core::DctChopConfig& c, std::size_t n) {
+  return core::make_rhs(n, c.cf, c.block, c.transform);
 }
 
 }  // namespace
 
 Graph build_compress_graph(const core::DctChopConfig& config,
-                           const BatchSpec& spec, const Context& ctx) {
-  const auto plan = resolve_plan(config, ctx);
+                           const BatchSpec& spec) {
   const std::size_t planes = spec.batch * spec.channels;
   const std::size_t ch = config.cf * config.height / config.block;
   const std::size_t cw = config.cf * config.width / config.block;
@@ -36,8 +34,8 @@ Graph build_compress_graph(const core::DctChopConfig& config,
       Shape::bchw(spec.batch, spec.channels, config.height, config.width));
   const NodeId flat =
       g.reshape(in, Shape({planes, config.height, config.width}));
-  const NodeId lhs = g.constant(plan->lhs_h());
-  const NodeId rhs = g.constant(plan->rhs_w());
+  const NodeId lhs = g.constant(lhs_for(config, config.height));
+  const NodeId rhs = g.constant(rhs_for(config, config.width));
   // Y = LHS · (A · RHS)  — torch.matmul(LHS, torch.matmul(A, RHS)).
   const NodeId mid = g.matmul(flat, rhs);
   const NodeId packed = g.matmul(lhs, mid);
@@ -48,8 +46,7 @@ Graph build_compress_graph(const core::DctChopConfig& config,
 }
 
 Graph build_decompress_graph(const core::DctChopConfig& config,
-                             const BatchSpec& spec, const Context& ctx) {
-  const auto plan = resolve_plan(config, ctx);
+                             const BatchSpec& spec) {
   const std::size_t planes = spec.batch * spec.channels;
   const std::size_t ch = config.cf * config.height / config.block;
   const std::size_t cw = config.cf * config.width / config.block;
@@ -58,8 +55,8 @@ Graph build_decompress_graph(const core::DctChopConfig& config,
   const NodeId in = g.input(Shape::bchw(spec.batch, spec.channels, ch, cw));
   const NodeId flat = g.reshape(in, Shape({planes, ch, cw}));
   // A' = RHS · (Y · LHS)  — torch.matmul(RHS, torch.matmul(Y, LHS)).
-  const NodeId lhs = g.constant(plan->lhs_w());
-  const NodeId rhs = g.constant(plan->rhs_h());
+  const NodeId lhs = g.constant(lhs_for(config, config.width));
+  const NodeId rhs = g.constant(rhs_for(config, config.height));
   const NodeId mid = g.matmul(flat, lhs);
   const NodeId restored = g.matmul(rhs, mid);
   const NodeId out = g.reshape(
@@ -83,7 +80,6 @@ Graph build_triangle_compress_graph(const core::DctChopConfig& config,
                                     const BatchSpec& spec,
                                     const Context& ctx) {
   const auto plan = resolve_triangle(config, ctx);
-  const core::DctChopPlan& chop = plan->inner_plan();
   const std::size_t planes = spec.batch * spec.channels;
   const std::size_t ch = config.cf * config.height / config.block;
   const std::size_t cw = config.cf * config.width / config.block;
@@ -93,8 +89,10 @@ Graph build_triangle_compress_graph(const core::DctChopConfig& config,
       Shape::bchw(spec.batch, spec.channels, config.height, config.width));
   const NodeId flat =
       g.reshape(in, Shape({planes, config.height, config.width}));
-  const NodeId mid = g.matmul(flat, g.constant(chop.rhs_w()));
-  const NodeId packed = g.matmul(g.constant(chop.lhs_h()), mid);
+  const NodeId mid =
+      g.matmul(flat, g.constant(rhs_for(config, config.width)));
+  const NodeId packed =
+      g.matmul(g.constant(lhs_for(config, config.height)), mid);
   // torch.gather with compile-time triangle indices (§3.5.2), shared
   // with the codec executors through the TrianglePlan.
   const NodeId rows = g.reshape(packed, Shape({planes, 1, ch * cw}));
@@ -107,7 +105,6 @@ Graph build_triangle_decompress_graph(const core::DctChopConfig& config,
                                       const BatchSpec& spec,
                                       const Context& ctx) {
   const auto plan = resolve_triangle(config, ctx);
-  const core::DctChopPlan& chop = plan->inner_plan();
   const std::size_t planes = spec.batch * spec.channels;
   const std::size_t ch = config.cf * config.height / config.block;
   const std::size_t cw = config.cf * config.width / config.block;
@@ -118,8 +115,8 @@ Graph build_triangle_decompress_graph(const core::DctChopConfig& config,
   // torch.scatter back into the chopped layout, then Eq. 6.
   const NodeId scattered = g.scatter(in, indices, ch * cw);
   const NodeId planes3 = g.reshape(scattered, Shape({planes, ch, cw}));
-  const NodeId lhs = g.constant(chop.lhs_w());
-  const NodeId rhs = g.constant(chop.rhs_h());
+  const NodeId lhs = g.constant(lhs_for(config, config.width));
+  const NodeId rhs = g.constant(rhs_for(config, config.height));
   const NodeId mid = g.matmul(planes3, lhs);
   const NodeId restored = g.matmul(rhs, mid);
   const NodeId out = g.reshape(

@@ -18,18 +18,17 @@ struct BatchSpec {
 ///   input [B, C, H, W] -> reshape [B·C, H, W]
 ///   -> matmul(·, RHS) -> matmul(LHS, ·) -> reshape [B, C, H', W'].
 /// Exactly two matmul nodes, as in the paper's PyTorch one-liner (§3.3).
-/// The operand constants are resolved through `ctx`'s PlanCache, so graph
-/// building shares compiled operands with that session's codec path.
+/// The operand constants are the dense make_lhs/make_rhs operators for
+/// `config` (its transform included).
 Graph build_compress_graph(const core::DctChopConfig& config,
-                           const BatchSpec& spec,
-                           const Context& ctx = Context::process_default());
+                           const BatchSpec& spec);
 
 /// Lowers decompression (Eq. 6): the same operators with roles swapped.
 Graph build_decompress_graph(const core::DctChopConfig& config,
-                             const BatchSpec& spec,
-                             const Context& ctx = Context::process_default());
+                             const BatchSpec& spec);
 
-/// Compression followed by the §3.5.2 triangle gather (IPU variant).
+/// Compression followed by the §3.5.2 triangle gather (IPU variant). The
+/// gather indices come from `ctx`'s PlanCache (the TrianglePlan).
 Graph build_triangle_compress_graph(
     const core::DctChopConfig& config, const BatchSpec& spec,
     const Context& ctx = Context::process_default());

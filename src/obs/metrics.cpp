@@ -47,11 +47,13 @@ HistogramSnapshot Histogram::snapshot() const noexcept {
   // Seqlock read: retry while a reset is in flight (odd generation) or
   // completed between our two fences, so the copy never mixes pre-reset
   // totals with post-reset buckets. Bounded so a pathological reset loop
-  // cannot livelock the reader; after the bound the last read wins.
-  HistogramSnapshot out;
+  // cannot livelock the reader. A torn read is never returned: when the
+  // bound runs out (a resetting writer preempted mid-reset), the result
+  // is the empty state that reset is writing.
   for (int attempt = 0; attempt < 1024; ++attempt) {
     const std::uint64_t before = generation_.load(std::memory_order_acquire);
     if (before & 1) continue;  // reset rewriting the fields right now
+    HistogramSnapshot out;
     out.count = count_.load(std::memory_order_relaxed);
     out.sum = sum_.load(std::memory_order_relaxed);
     out.max = max_.load(std::memory_order_relaxed);
@@ -61,9 +63,9 @@ HistogramSnapshot Histogram::snapshot() const noexcept {
       out.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
     }
     std::atomic_thread_fence(std::memory_order_acquire);
-    if (generation_.load(std::memory_order_relaxed) == before) break;
+    if (generation_.load(std::memory_order_relaxed) == before) return out;
   }
-  return out;
+  return HistogramSnapshot{};
 }
 
 void Histogram::reset() noexcept {

@@ -24,9 +24,9 @@ struct GemmCounters {
   std::uint64_t microkernel_calls = 0;
   /// Microkernel invocations on partial tiles (mr < MR or nr < NR).
   std::uint64_t tail_tiles = 0;
-  /// Wide fused-multiply-add row updates (banded sandwich stage 2).
+  /// Wide fused-multiply-add row updates (block sandwich stage 2).
   std::uint64_t axpy_calls = 0;
-  /// Small dense block MACs (banded sandwich stage 1).
+  /// Small dense block MACs (block sandwich stage 1).
   std::uint64_t block_mac_calls = 0;
   /// 2·m·n·k FLOPs issued through gemm (excludes axpy/block_mac work).
   std::uint64_t flops = 0;
@@ -68,7 +68,7 @@ void axpy_row(float alpha, const float* src, float* dst,
               std::size_t n) noexcept;
 
 /// C += A·B for a small dense block (m×k · k×n, arbitrary leading
-/// dimensions, no packing). Tuned for the banded-sandwich inner blocks
+/// dimensions, no packing). Tuned for the block-sandwich inner blocks
 /// where n is a handful of columns; accumulation order per element is
 /// ascending k, matching gemm on the same backend bit-for-bit.
 void block_mac(std::size_t m, std::size_t n, std::size_t k, const float* a,

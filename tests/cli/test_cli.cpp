@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "cli/archive.hpp"
 #include "cli/robustness_suite.hpp"
@@ -201,6 +202,76 @@ TEST(Cli, MissingFlagValueIsGracefulError) {
   std::string err;
   EXPECT_EQ(run({"eval", "x.aict", "--cf"}, nullptr, &err), 1);
   EXPECT_NE(err.find("missing value"), std::string::npos);
+}
+
+TEST(Cli, FlagTheCommandDoesNotReadFailsNamingIt) {
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string packed = dir.file("packed.aicz");
+  ASSERT_EQ(run({"gen", raw, "--res", "16", "--channels", "1"}), 0);
+  // --archive-version was retired with the v2/v3 writers; it used to be
+  // accepted and ignored.
+  std::string err;
+  EXPECT_EQ(run({"compress", raw, packed, "--archive-version", "3"}, nullptr,
+                &err),
+            1);
+  EXPECT_NE(err.find("unknown flag --archive-version"), std::string::npos)
+      << err;
+  EXPECT_FALSE(std::filesystem::exists(packed));
+  ASSERT_EQ(run({"compress", raw, packed, "--cf", "4"}), 0);
+  const std::vector<std::vector<std::string>> rejected = {
+      {"decompress", packed, dir.file("r.aict"), "--cf", "4"},
+      {"verify", packed, "--entropy", "raw"},
+      {"info", packed, "--stats"},
+      {"gen", dir.file("g.aict"), "--triangle"},
+      {"eval", raw, "--chunk-bytes", "1024"},
+      {"serve", packed, "--res", "16"},
+      {"--metrics", "--cf", "4"},
+      {"eval", raw, "--codec", "dctchop:cf=4", "--cf", "2"},
+  };
+  for (const std::vector<std::string>& args : rejected) {
+    std::string message;
+    EXPECT_EQ(run(args, nullptr, &message), 1) << args[0];
+    EXPECT_NE(message.find("--"), std::string::npos) << message;
+  }
+}
+
+// Every flag README, CI, the examples, tools and perfbench pass to aicomp
+// (run_cli) still gets through the per-command check.
+TEST(Cli, DocumentedFlagsAreAccepted) {
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string packed = dir.file("packed.aicz");
+  const std::string restored = dir.file("restored.aict");
+  ASSERT_EQ(run({"gen", raw, "--batch", "2", "--channels", "3", "--res",
+                 "16", "--seed", "7"}),
+            0);
+  ASSERT_EQ(run({"compress", raw, packed, "--cf", "4", "--block", "8",
+                 "--transform", "wht", "--triangle"}),
+            0);
+  ASSERT_EQ(run({"compress", raw, packed, "--codec", "partial:cf=4,s=2"}), 0);
+  ASSERT_EQ(run({"compress", raw, packed, "--cf", "4", "--chunk-bytes",
+                 "4096", "--entropy", "auto", "--stats", "--threads", "2",
+                 "--metrics-out", dir.file("m.json")}),
+            0);
+  ASSERT_EQ(run({"decompress", packed, restored, "--stats", "--threads",
+                 "1"}),
+            0);
+  ASSERT_EQ(run({"verify", packed, "--stats"}), 0);
+  ASSERT_EQ(run({"info", packed, "--metrics"}), 0);
+  ASSERT_EQ(run({"eval", raw, "--cf", "2", "--transform", "wht", "--stats"}),
+            0);
+  ASSERT_EQ(run({"eval", raw, "--codec", "zfp:rate=8"}), 0);
+  ASSERT_EQ(run({"--metrics-out", dir.file("probe.json")}), 0);
+  // serve's flags pass the check; --sessions 0 then stops it before the
+  // endpoint starts.
+  std::string err;
+  EXPECT_EQ(run({"serve", packed, "--obs-port", "0", "--duration-ms", "10",
+                 "--interval-ms", "10", "--sessions", "0"},
+                nullptr, &err),
+            1);
+  EXPECT_NE(err.find("--sessions must be in [1, 64]"), std::string::npos)
+      << err;
 }
 
 TEST(Cli, NonNumericFlagValueNamesTheFlag) {

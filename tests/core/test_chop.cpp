@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "runtime/rng.hpp"
@@ -132,6 +134,42 @@ TEST(MakeLhsRhs, LhsTimesRhsIsIdentity) {
   const Tensor rhs = make_rhs(32, 3);
   EXPECT_TRUE(
       allclose(tensor::matmul(lhs, rhs), Tensor::identity(12), 1e-5));
+}
+
+TEST(MakeLhsRhs, ClosedFormIsBitwiseTheMaskTimesTransformProduct) {
+  // make_lhs places chop_tile on the block diagonal; the reference is the
+  // M · T_L product it replaced, through the same GEMM the codec once
+  // ran. Compared as bit patterns, so a -0 / +0 difference would fail.
+  for (const TransformKind kind :
+       {TransformKind::kDct2, TransformKind::kWalshHadamard,
+        TransformKind::kDst2}) {
+    for (const std::size_t block : {4u, 8u, 16u}) {
+      for (std::size_t cf = 1; cf <= block; ++cf) {
+        for (const std::size_t n : {block, 4 * block}) {
+          const Tensor reference = tensor::matmul(
+              chop_mask(n, cf, block), block_diagonal_transform(kind, n, block));
+          const Tensor lhs = make_lhs(n, cf, block, kind);
+          ASSERT_EQ(lhs.shape(), reference.shape());
+          for (std::size_t i = 0; i < lhs.numel(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(lhs.at(i)),
+                      std::bit_cast<std::uint32_t>(reference.at(i)))
+                << transform_name(kind) << " block=" << block << " cf=" << cf
+                << " n=" << n << " flat " << i;
+          }
+          // The plan tile is each diagonal block of that operator.
+          const Tensor tile = chop_tile(cf, block, kind);
+          for (std::size_t r = 0; r < cf; ++r) {
+            for (std::size_t c = 0; c < block; ++c) {
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(tile.at(r, c)),
+                        std::bit_cast<std::uint32_t>(
+                            reference.at((n / block - 1) * cf + r,
+                                         (n / block - 1) * block + c)));
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ TEST(DctChop, ChannelsAreIndependent) {
 }
 
 TEST(DctChop, FastPathMatchesReferenceMatmulSandwichExactly) {
-  // The codec's structurally-sparse kernel must reproduce the plain
+  // The codec's block kernel must reproduce the plain
   // two-matmul sandwich of Eq. 4/6 element-for-element (identical
   // contributions in identical order — no new rounding).
   runtime::Rng rng(20);
@@ -169,7 +169,8 @@ TEST(DctChop, FastPathMatchesReferenceMatmulSandwichExactly) {
     for (std::size_t b = 0; b < 2; ++b) {
       for (std::size_t c = 0; c < 2; ++c) {
         const Tensor expected = tensor::matmul(
-            codec.lhs(), tensor::matmul(in.slice_plane(b, c), codec.rhs()));
+            make_lhs(32, cf), tensor::matmul(in.slice_plane(b, c),
+                                             make_rhs(64, cf)));
         const Tensor got = packed.slice_plane(b, c);
         for (std::size_t i = 0; i < expected.numel(); ++i) {
           ASSERT_EQ(got.at(i), expected.at(i)) << "cf=" << cf << " plane "

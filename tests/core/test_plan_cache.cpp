@@ -5,6 +5,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/chop.hpp"
@@ -13,7 +14,7 @@
 #include "core/partial_serializer.hpp"
 #include "core/triangle.hpp"
 #include "runtime/rng.hpp"
-#include "tensor/matmul.hpp"
+#include "tensor/gemm_kernels.hpp"
 
 namespace aic::core {
 namespace {
@@ -29,38 +30,61 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
   }
 }
 
-// --- operand dedup (RHS = LHSᵀ, square axes share storage) ---
+// --- operand tile (RHS = LHSᵀ, both axes share one tile pair) ---
 
 TEST(PlanOperands, RhsIsBitwiseTransposeOfLhs) {
-  const auto plan = resolve_dct_chop_plan(Context::process_default(), 32, 64, 4, 8,
-                                     TransformKind::kDct2);
-  expect_bitwise_equal(plan->rhs_h(), plan->lhs_h().transposed(), "rhs_h");
-  expect_bitwise_equal(plan->rhs_w(), plan->lhs_w().transposed(), "rhs_w");
-  // Parity with the legacy independent construction path: make_rhs() was
-  // make_lhs().transposed(), so sharing storage changes no bit.
-  expect_bitwise_equal(plan->rhs_w(),
-                       make_rhs(64, 4, 8, TransformKind::kDct2), "make_rhs");
-  expect_bitwise_equal(plan->lhs_h(),
-                       make_lhs(32, 4, 8, TransformKind::kDct2), "make_lhs");
+  const auto plan = resolve_dct_chop_plan(Context::process_default(), 32, 64,
+                                          4, 8, TransformKind::kDct2);
+  expect_bitwise_equal(plan->tile_t(), plan->tile().transposed(), "tile_t");
+  expect_bitwise_equal(make_rhs(64, 4, 8, TransformKind::kDct2),
+                       make_lhs(64, 4, 8, TransformKind::kDct2).transposed(),
+                       "make_rhs");
+  // The plan tile is every diagonal block of the dense operator.
+  const Tensor lhs = make_lhs(32, 4, 8, TransformKind::kDct2);
+  for (std::size_t blk = 0; blk < 32 / 8; ++blk) {
+    for (std::size_t r = 0; r < 4; ++r) {
+      for (std::size_t c = 0; c < 8; ++c) {
+        ASSERT_EQ(plan->tile().at(r, c), lhs.at(blk * 4 + r, blk * 8 + c))
+            << "block " << blk << " (" << r << "," << c << ")";
+      }
+    }
+  }
 }
 
 TEST(PlanOperands, SquarePlanSharesOneOperandPair) {
-  const auto square = resolve_dct_chop_plan(Context::process_default(), 32, 32, 4, 8,
-                                    TransformKind::kDct2);
-  EXPECT_TRUE(square->shares_square_operands());
-  EXPECT_EQ(&square->lhs_h(), &square->lhs_w());
-  EXPECT_EQ(&square->rhs_h(), &square->rhs_w());
-  // Resident bytes bill the single shared pair once.
-  EXPECT_EQ(square->resident_bytes(),
-            square->lhs_h().size_bytes() + square->rhs_h().size_bytes());
+  // Square or not, a plan holds one cf×block tile and its transpose.
+  for (const auto& [h, w] : {std::pair<std::size_t, std::size_t>{32, 32},
+                             {32, 64}}) {
+    const auto plan = resolve_dct_chop_plan(Context::process_default(), h, w,
+                                            4, 8, TransformKind::kDct2);
+    EXPECT_EQ(plan->tile().shape(), Shape::matrix(4, 8));
+    EXPECT_EQ(plan->tile_t().shape(), Shape::matrix(8, 4));
+    EXPECT_EQ(plan->resident_bytes(),
+              plan->tile().size_bytes() + plan->tile_t().size_bytes());
+  }
+}
 
-  const auto rect = resolve_dct_chop_plan(Context::process_default(), 32, 64, 4, 8,
-                                     TransformKind::kDct2);
-  EXPECT_FALSE(rect->shares_square_operands());
-  EXPECT_NE(&rect->lhs_h(), &rect->lhs_w());
-  EXPECT_EQ(rect->resident_bytes(),
-            rect->lhs_h().size_bytes() + rect->rhs_h().size_bytes() +
-                rect->lhs_w().size_bytes() + rect->rhs_w().size_bytes());
+TEST(PlanOperands, ColdBuildHoldsOneTilePairAndRunsNoGemm) {
+  struct Case {
+    std::size_t h, w, cf, block;
+  };
+  // The last case would need ~2 TB of dense operators; the tile is all
+  // a plan resolution allocates, whatever dims a header supplies.
+  for (const Case c : {Case{8, 8, 1, 8}, Case{32, 64, 4, 8},
+                       Case{1024, 1024, 4, 8}, Case{48, 16, 16, 16},
+                       Case{1u << 20, 1u << 20, 8, 8}}) {
+    for (const TransformKind kind :
+         {TransformKind::kDct2, TransformKind::kWalshHadamard,
+          TransformKind::kDst2}) {
+      PlanCache cold(/*byte_budget=*/0);
+      const std::uint64_t gemms = tensor::gemm_counters().gemm_calls;
+      const auto plan =
+          cold.resolve(dct_chop_plan_key(c.h, c.w, c.cf, c.block, kind));
+      EXPECT_EQ(tensor::gemm_counters().gemm_calls, gemms);
+      EXPECT_EQ(plan->resident_bytes(), 2 * c.cf * c.block * sizeof(float))
+          << c.h << "x" << c.w << " cf=" << c.cf;
+    }
+  }
 }
 
 // --- bitwise parity: fresh (uncached) plan vs cache-resolved plan ---
@@ -252,18 +276,17 @@ TEST(PlanCacheLocal, ConcurrentResolveBuildsEachKeyExactlyOnce) {
 
 // --- zero rebuilds / zero reallocations on the cache-hit path ---
 
-TEST(PlanCacheProcessDefault, MixedShapeSteadyStateBuildsAndReallocsStayFlat) {
+TEST(PlanCacheProcessDefault, MixedShapeSteadyStateBuildsStayFlat) {
   runtime::Rng rng(55);
   const CodecPtr codec = make_codec("dctchop:cf=4,block=8");
   const Tensor large = Tensor::uniform(Shape::bchw(2, 3, 32, 32), rng);
   const Tensor small = Tensor::uniform(Shape::bchw(2, 3, 16, 16), rng);
 
-  // Warm both shapes: plans compile, scratch buffers grow to their max.
+  // Warm both shapes: plans compile once.
   (void)codec->round_trip(large);
   (void)codec->round_trip(small);
 
   const std::uint64_t builds = PlanCache::of(Context::process_default()).snapshot().builds;
-  const std::size_t reallocs = tensor::sandwich_scratch_reallocs();
   for (int rep = 0; rep < 5; ++rep) {
     (void)codec->round_trip(large);
     (void)codec->round_trip(small);
@@ -271,8 +294,6 @@ TEST(PlanCacheProcessDefault, MixedShapeSteadyStateBuildsAndReallocsStayFlat) {
   const PlanCache::Snapshot after = PlanCache::of(Context::process_default()).snapshot();
   EXPECT_EQ(after.builds, builds)
       << "cache-hit compress must construct zero operands";
-  EXPECT_EQ(tensor::sandwich_scratch_reallocs(), reallocs)
-      << "steady-state sandwich calls must not reallocate scratch";
   EXPECT_GE(after.hits, 10u);
 }
 

@@ -194,13 +194,11 @@ TEST(TensorIo, LoadsFromPipe) {
 TEST(TensorIo, PersistsPrecomputedOperators) {
   // The compile-time LHS/RHS operators survive a save/load cycle and
   // still decompress correctly — the "precompute once, reuse" workflow.
-  runtime::Rng rng(3);
-  const core::DctChopCodec codec(
-      {.height = 16, .width = 16, .cf = 4, .block = 8});
+  const Tensor operator_lhs = core::make_lhs(16, 4, 8);
   const std::string path = "/tmp/aic_lhs_test.aict";
-  save_tensor(codec.lhs(), path);
+  save_tensor(operator_lhs, path);
   const Tensor lhs = load_tensor(path);
-  EXPECT_TRUE(tensor::allclose(lhs, codec.lhs(), 0.0));
+  EXPECT_TRUE(tensor::allclose(lhs, operator_lhs, 0.0));
   std::remove(path.c_str());
 }
 

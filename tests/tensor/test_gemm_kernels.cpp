@@ -190,46 +190,87 @@ TEST(GemmAccumulate, AddsOntoExistingOutput) {
   }
 }
 
-// Builds a block-banded matrix with random non-zero entries in each band.
-Tensor make_banded(std::size_t bands, std::size_t row_block,
-                   std::size_t col_block, runtime::Rng& rng) {
-  Tensor m(Shape::matrix(bands * row_block, bands * col_block));
-  for (std::size_t band = 0; band < bands; ++band) {
-    for (std::size_t r = 0; r < row_block; ++r) {
-      for (std::size_t c = 0; c < col_block; ++c) {
-        m.at(band * row_block + r, band * col_block + c) =
-            static_cast<float>(rng.uniform(0.1, 1.0));
+// The dense operator with `tile` repeated `blocks` times on its diagonal.
+Tensor block_diagonal(const Tensor& tile, std::size_t blocks) {
+  const std::size_t rows = tile.shape()[0], cols = tile.shape()[1];
+  Tensor m(Shape::matrix(blocks * rows, blocks * cols));
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        m.at(blk * rows + r, blk * cols + c) = tile.at(r, c);
       }
     }
   }
   return m;
 }
 
-// The structural sandwich fast path must agree with the dense path
-// bit-for-bit under every backend: block_mac / axpy_row issue the same
-// ascending-k fused chains as the packed microkernel.
+// Asserts block_sandwich_into(left, in, right) equals the per-plane dense
+// two-matmul sandwich over the block-diagonal operators, element for
+// element (== also accepts a differently signed zero).
+void expect_block_matches_dense(const Tensor& left, const Tensor& in,
+                                const Tensor& right) {
+  const std::size_t h = in.shape()[2], w = in.shape()[3];
+  const Tensor lhs = block_diagonal(left, h / left.shape()[1]);
+  const Tensor rhs = block_diagonal(right, w / right.shape()[0]);
+  Tensor out(Shape::bchw(in.shape()[0], in.shape()[1], lhs.shape()[0],
+                         rhs.shape()[1]));
+  block_sandwich_into(left, in, right, out);
+  for (std::size_t b = 0; b < in.shape()[0]; ++b) {
+    for (std::size_t c = 0; c < in.shape()[1]; ++c) {
+      const Tensor expected = matmul(lhs, matmul(in.slice_plane(b, c), rhs));
+      const Tensor got = out.slice_plane(b, c);
+      for (std::size_t i = 0; i < expected.numel(); ++i) {
+        ASSERT_EQ(got.at(i), expected.at(i))
+            << runtime::kernel_backend_name() << " plane " << b << "," << c
+            << " flat " << i;
+      }
+    }
+  }
+}
+
+// The block kernel must agree with the dense path bit-for-bit under every
+// backend: block_mac / axpy_row issue the same ascending-k fused chains
+// as the packed microkernel.
 TEST(GemmSandwich, BandedMatchesDenseOnEveryBackend) {
   runtime::Rng rng(25);
   const std::size_t bands = 4, cf = 4, block = 8;
-  const Tensor lhs = make_banded(bands, cf, block, rng);
-  const Tensor rhs = make_banded(bands, block, cf, rng);
+  const Tensor left =
+      Tensor::uniform(Shape::matrix(cf, block), rng, -1.0f, 1.0f);
   const std::size_t edge = bands * block;
   const Tensor in =
       Tensor::uniform(Shape::bchw(2, 3, edge, edge), rng, -1.0f, 1.0f);
+  const Tensor packed =
+      Tensor::uniform(Shape::bchw(2, 3, bands * cf, bands * cf), rng, -1.0f,
+                      1.0f);
   for (const KernelBackend backend :
        {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     if (backend == KernelBackend::kAvx2 && !simd_supported()) continue;
     BackendGuard guard;
     runtime::set_kernel_backend(backend);
-    Tensor dense_out(Shape::bchw(2, 3, bands * cf, bands * cf));
-    Tensor banded_out(Shape::bchw(2, 3, bands * cf, bands * cf));
-    sandwich_planes_into(lhs, in, rhs, dense_out, {});
-    sandwich_planes_into(lhs, in, rhs, banded_out,
-                         {.lhs_bands = {cf, block}, .rhs_bands = {block, cf}});
-    for (std::size_t i = 0; i < dense_out.numel(); ++i) {
-      ASSERT_EQ(dense_out.at(i), banded_out.at(i))
-          << runtime::kernel_backend_name() << " flat " << i;
-    }
+    expect_block_matches_dense(left, in, left.transposed());  // Eq. 4
+    expect_block_matches_dense(left.transposed(), packed, left);  // Eq. 6
+  }
+}
+
+// Tiles too large for one stack strip (lc·rc > 4096 floats) split the
+// inner rows, and wide planes split the columns; neither split may move
+// a bit.
+TEST(GemmSandwich, StripSplitsKeepTheDenseBits) {
+  runtime::Rng rng(30);
+  const Tensor tall = Tensor::uniform(Shape::matrix(3, 96), rng, -1.0f, 1.0f);
+  const Tensor wide = Tensor::uniform(Shape::matrix(96, 72), rng, -1.0f, 1.0f);
+  const Tensor small = Tensor::uniform(Shape::matrix(2, 8), rng, -1.0f, 1.0f);
+  const Tensor in_rows =
+      Tensor::uniform(Shape::bchw(1, 2, 192, 192), rng, -1.0f, 1.0f);
+  const Tensor in_cols =
+      Tensor::uniform(Shape::bchw(1, 1, 16, 3072), rng, -1.0f, 1.0f);
+  for (const KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+    if (backend == KernelBackend::kAvx2 && !simd_supported()) continue;
+    BackendGuard guard;
+    runtime::set_kernel_backend(backend);
+    expect_block_matches_dense(tall, in_rows, wide);  // 96·72 > 4096
+    expect_block_matches_dense(small, in_cols, small.transposed());
   }
 }
 
@@ -238,19 +279,18 @@ TEST(GemmSandwich, SimdAndScalarSandwichAgreeWithinTolerance) {
   BackendGuard guard;
   runtime::Rng rng(26);
   const std::size_t bands = 3, cf = 2, block = 8;
-  const Tensor lhs = make_banded(bands, cf, block, rng);
-  const Tensor rhs = make_banded(bands, block, cf, rng);
+  const Tensor left =
+      Tensor::uniform(Shape::matrix(cf, block), rng, -1.0f, 1.0f);
+  const Tensor right = left.transposed();
   const std::size_t edge = bands * block;
   const Tensor in =
       Tensor::uniform(Shape::bchw(2, 2, edge, edge), rng, -1.0f, 1.0f);
-  const SandwichOptions opts{.lhs_bands = {cf, block},
-                             .rhs_bands = {block, cf}};
   Tensor scalar_out(Shape::bchw(2, 2, bands * cf, bands * cf));
   Tensor simd_out(Shape::bchw(2, 2, bands * cf, bands * cf));
   runtime::set_kernel_backend(KernelBackend::kScalar);
-  sandwich_planes_into(lhs, in, rhs, scalar_out, opts);
+  block_sandwich_into(left, in, right, scalar_out);
   runtime::set_kernel_backend(KernelBackend::kAvx2);
-  sandwich_planes_into(lhs, in, rhs, simd_out, opts);
+  block_sandwich_into(left, in, right, simd_out);
   expect_rel_close(scalar_out, simd_out, 1e-5, "sandwich parity");
 }
 
@@ -307,21 +347,18 @@ TEST(GemmCounters, AdvanceAcrossCallsAndCountTails) {
 TEST(GemmCounters, SandwichBandedRecordsPrimitiveCalls) {
   runtime::Rng rng(29);
   const std::size_t bands = 4, cf = 4, block = 8;
-  const Tensor lhs = make_banded(bands, cf, block, rng);
-  const Tensor rhs = make_banded(bands, block, cf, rng);
+  const Tensor left = Tensor::uniform(Shape::matrix(cf, block), rng, 0.1f, 1.0f);
   const std::size_t edge = bands * block;
   const Tensor in = Tensor::uniform(Shape::bchw(1, 2, edge, edge), rng);
   Tensor out(Shape::bchw(1, 2, bands * cf, bands * cf));
   const GemmCounters before = gemm_counters();
-  sandwich_planes_into(lhs, in, rhs, out,
-                       {.lhs_bands = {cf, block}, .rhs_bands = {block, cf}});
+  block_sandwich_into(left, in, left.transposed(), out);
   const GemmCounters after = gemm_counters();
-  // 2 planes × 4 LHS bands × 4 RHS bands block MACs.
+  // 2 planes × 4 block rows × 4 right blocks block MACs.
   EXPECT_EQ(after.block_mac_calls, before.block_mac_calls + 2 * 4 * 4);
-  // ≤ planes × bands × (cf × block) axpy rows; zero entries are skipped
-  // so only a lower bound is structural.
-  EXPECT_GT(after.axpy_calls, before.axpy_calls);
-  EXPECT_LE(after.axpy_calls, before.axpy_calls + 2 * 4 * cf * block);
+  // One axpy row per non-zero tile entry per (plane, block row).
+  EXPECT_EQ(after.axpy_calls, before.axpy_calls + 2 * 4 * cf * block);
+  EXPECT_EQ(after.gemm_calls, before.gemm_calls);
 }
 
 }  // namespace

@@ -103,30 +103,6 @@ TEST(Matmul, AssociativityWithinTolerance) {
       allclose(matmul(matmul(a, b), c), matmul(a, matmul(b, c)), 1e-3));
 }
 
-TEST(SandwichPlanes, MatchesPerPlaneProducts) {
-  runtime::Rng rng(6);
-  const Tensor lhs = Tensor::uniform(Shape::matrix(4, 8), rng, -1.0f, 1.0f);
-  const Tensor rhs = Tensor::uniform(Shape::matrix(8, 4), rng, -1.0f, 1.0f);
-  const Tensor in = Tensor::uniform(Shape::bchw(3, 2, 8, 8), rng, -1.0f, 1.0f);
-  Tensor out(Shape::bchw(3, 2, 4, 4));
-  sandwich_planes(lhs, in, rhs, out);
-  for (std::size_t b = 0; b < 3; ++b) {
-    for (std::size_t c = 0; c < 2; ++c) {
-      const Tensor expected =
-          matmul(lhs, matmul(in.slice_plane(b, c), rhs));
-      EXPECT_TRUE(allclose(out.slice_plane(b, c), expected, 1e-4));
-    }
-  }
-}
-
-TEST(SandwichPlanes, ShapeMismatchThrows) {
-  const Tensor lhs(Shape::matrix(4, 8));
-  const Tensor rhs(Shape::matrix(8, 4));
-  const Tensor in(Shape::bchw(1, 1, 8, 8));
-  Tensor wrong(Shape::bchw(1, 1, 4, 5));
-  EXPECT_THROW(sandwich_planes(lhs, in, rhs, wrong), std::invalid_argument);
-}
-
 TEST(MatmulFlops, CountsTwoMNK) {
   const Tensor a(Shape::matrix(3, 4));
   const Tensor b(Shape::matrix(4, 5));
@@ -145,79 +121,88 @@ TEST(MatmulDtype, RejectsNonFloat32Operands) {
   Tensor bf_in(Shape::bchw(1, 1, 2, 2));
   bf_in.set_dtype(DType::kBfloat16);
   Tensor plane_out(Shape::bchw(1, 1, 2, 2));
-  EXPECT_THROW(sandwich_planes(a, bf_in, a, plane_out),
+  EXPECT_THROW(block_sandwich_into(a, bf_in, a, plane_out),
                std::invalid_argument);
   Tensor bf_op = a;
   bf_op.set_dtype(DType::kBfloat16);
   const Tensor in(Shape::bchw(1, 1, 2, 2));
-  EXPECT_THROW(sandwich_planes(bf_op, in, a, plane_out),
+  EXPECT_THROW(block_sandwich_into(bf_op, in, a, plane_out),
                std::invalid_argument);
-  EXPECT_THROW(sandwich_planes(a, in, bf_op, plane_out),
+  EXPECT_THROW(block_sandwich_into(a, in, bf_op, plane_out),
                std::invalid_argument);
 }
 
-// Builds a block-banded matrix with the given band blocks and random
-// non-zero entries inside each band.
-Tensor make_banded(std::size_t bands, std::size_t row_block,
-                   std::size_t col_block, runtime::Rng& rng) {
-  Tensor m(Shape::matrix(bands * row_block, bands * col_block));
-  for (std::size_t band = 0; band < bands; ++band) {
-    for (std::size_t r = 0; r < row_block; ++r) {
-      for (std::size_t c = 0; c < col_block; ++c) {
-        m.at(band * row_block + r, band * col_block + c) =
-            static_cast<float>(rng.uniform(0.1, 1.0));
+// The dense operator with `tile` repeated `blocks` times on its diagonal.
+Tensor block_diagonal(const Tensor& tile, std::size_t blocks) {
+  const std::size_t rows = tile.shape()[0], cols = tile.shape()[1];
+  Tensor m(Shape::matrix(blocks * rows, blocks * cols));
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        m.at(blk * rows + r, blk * cols + c) = tile.at(r, c);
       }
     }
   }
   return m;
 }
 
-TEST(IsBlockBanded, AcceptsAndRejectsStructures) {
-  runtime::Rng rng(11);
-  const Tensor banded = make_banded(3, 4, 8, rng);
-  EXPECT_TRUE(is_block_banded(banded, {4, 8}));
-  EXPECT_FALSE(is_block_banded(banded, {8, 4}));  // wrong orientation
-  EXPECT_FALSE(is_block_banded(banded, {0, 8}));  // invalid spec
-  EXPECT_FALSE(is_block_banded(banded, {3, 8}));  // does not tile rows
-
-  Tensor spoiled = banded;
-  spoiled.at(0, 23) = 1.0f;  // off-band entry
-  EXPECT_FALSE(is_block_banded(spoiled, {4, 8}));
-
-  const Tensor vec(Shape::vector(8));
-  EXPECT_FALSE(is_block_banded(vec, {4, 8}));
-}
-
-TEST(SandwichPlanesInto, BandedMatchesDensePathExactly) {
-  // The structural fast path must produce the same bits as the generic
-  // plane-by-plane two-matmul sandwich: same contributions, same order.
-  runtime::Rng rng(12);
-  const std::size_t bands_h = 4, bands_w = 3;
-  const std::size_t cf = 4, block = 8;
-  // lhs: (bands_h·cf)×(bands_h·block), rhs: (bands_w·block)×(bands_w·cf).
-  const Tensor lhs = make_banded(bands_h, cf, block, rng);
-  const Tensor rhs = make_banded(bands_w, block, cf, rng);
-  const std::size_t h = bands_h * block, w = bands_w * block;
-  const Tensor in = Tensor::uniform(Shape::bchw(2, 3, h, w), rng, -1.0f, 1.0f);
-  Tensor dense_out(Shape::bchw(2, 3, bands_h * cf, bands_w * cf));
-  Tensor banded_out(Shape::bchw(2, 3, bands_h * cf, bands_w * cf));
-  sandwich_planes_into(lhs, in, rhs, dense_out, {});
-  sandwich_planes_into(lhs, in, rhs, banded_out,
-                       {.lhs_bands = {cf, block}, .rhs_bands = {block, cf}});
-  for (std::size_t i = 0; i < dense_out.numel(); ++i) {
-    ASSERT_EQ(dense_out.at(i), banded_out.at(i)) << "flat index " << i;
+TEST(SandwichPlanes, MatchesPerPlaneProducts) {
+  runtime::Rng rng(6);
+  const Tensor left = Tensor::uniform(Shape::matrix(4, 8), rng, -1.0f, 1.0f);
+  const Tensor right = Tensor::uniform(Shape::matrix(8, 4), rng, -1.0f, 1.0f);
+  const Tensor in =
+      Tensor::uniform(Shape::bchw(3, 2, 16, 24), rng, -1.0f, 1.0f);
+  Tensor out(Shape::bchw(3, 2, 8, 12));
+  block_sandwich_into(left, in, right, out);
+  const Tensor lhs = block_diagonal(left, 2);
+  const Tensor rhs = block_diagonal(right, 3);
+  for (std::size_t b = 0; b < 3; ++b) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      const Tensor expected =
+          matmul_naive(lhs, matmul_naive(in.slice_plane(b, c), rhs));
+      EXPECT_TRUE(allclose(out.slice_plane(b, c), expected, 1e-4));
+    }
   }
 }
 
-TEST(SandwichPlanesInto, DensePathMatchesReferenceMatmulExactly) {
-  runtime::Rng rng(13);
-  const Tensor lhs = Tensor::uniform(Shape::matrix(6, 16), rng, -1.0f, 1.0f);
-  const Tensor rhs = Tensor::uniform(Shape::matrix(24, 10), rng, -1.0f, 1.0f);
-  const Tensor in = Tensor::uniform(Shape::bchw(2, 2, 16, 24), rng, -1.0f, 1.0f);
-  Tensor out(Shape::bchw(2, 2, 6, 10));
-  sandwich_planes_into(lhs, in, rhs, out, {});
+TEST(SandwichPlanes, ShapeMismatchThrows) {
+  const Tensor left(Shape::matrix(4, 8));
+  const Tensor right(Shape::matrix(8, 4));
+  const Tensor in(Shape::bchw(1, 1, 8, 8));
+  Tensor wrong(Shape::bchw(1, 1, 4, 5));
+  EXPECT_THROW(block_sandwich_into(left, in, right, wrong),
+               std::invalid_argument);
+  // Tiles whose block grid does not tile the plane.
+  Tensor out(Shape::bchw(1, 1, 4, 4));
+  EXPECT_THROW(block_sandwich_into(Tensor(Shape::matrix(4, 3)), in, right,
+                                   out),
+               std::invalid_argument);
+  EXPECT_THROW(block_sandwich_into(left, in, Tensor(Shape::matrix(3, 4)),
+                                   out),
+               std::invalid_argument);
+  EXPECT_THROW(block_sandwich_into(left, Tensor(Shape::matrix(8, 8)), right,
+                                   out),
+               std::invalid_argument);
+}
+
+TEST(SandwichPlanesInto, BandedMatchesDensePathExactly) {
+  // The block kernel must produce the same bits as the plane-by-plane
+  // two-matmul sandwich over the dense block-diagonal operators: the
+  // skipped terms are exact zeros, the rest run in the same order.
+  runtime::Rng rng(12);
+  const std::size_t bands_h = 4, bands_w = 3;
+  const std::size_t cf = 4, block = 8;
+  const Tensor left =
+      Tensor::uniform(Shape::matrix(cf, block), rng, -1.0f, 1.0f);
+  const Tensor right = left.transposed();
+  const Tensor lhs = block_diagonal(left, bands_h);
+  const Tensor rhs = block_diagonal(right, bands_w);
+  const std::size_t h = bands_h * block, w = bands_w * block;
+  const Tensor in = Tensor::uniform(Shape::bchw(2, 3, h, w), rng, -1.0f, 1.0f);
+  Tensor out(Shape::bchw(2, 3, bands_h * cf, bands_w * cf));
+  block_sandwich_into(left, in, right, out);
   for (std::size_t b = 0; b < 2; ++b) {
-    for (std::size_t c = 0; c < 2; ++c) {
+    for (std::size_t c = 0; c < 3; ++c) {
       const Tensor expected = matmul(lhs, matmul(in.slice_plane(b, c), rhs));
       const Tensor got = out.slice_plane(b, c);
       for (std::size_t i = 0; i < expected.numel(); ++i) {
@@ -225,40 +210,6 @@ TEST(SandwichPlanesInto, DensePathMatchesReferenceMatmulExactly) {
       }
     }
   }
-}
-
-TEST(SandwichPlanesInto, IllFittingBandHintThrows) {
-  const Tensor lhs(Shape::matrix(4, 8));
-  const Tensor rhs(Shape::matrix(8, 4));
-  const Tensor in(Shape::bchw(1, 1, 8, 8));
-  Tensor out(Shape::bchw(1, 1, 4, 4));
-  // Half-specified hint.
-  EXPECT_THROW(
-      sandwich_planes_into(lhs, in, rhs, out,
-                           {.lhs_bands = {4, 8}, .rhs_bands = {}}),
-      std::invalid_argument);
-  // Band grid does not tile the operators.
-  EXPECT_THROW(sandwich_planes_into(lhs, in, rhs, out,
-                                    {.lhs_bands = {3, 8}, .rhs_bands = {8, 4}}),
-               std::invalid_argument);
-}
-
-TEST(SandwichPlanesInto, SteadyStateReallocatesNoScratch) {
-  runtime::Rng rng(14);
-  const std::size_t cf = 4, block = 8, bands = 4;
-  const Tensor lhs = make_banded(bands, cf, block, rng);
-  const Tensor rhs = make_banded(bands, block, cf, rng);
-  const Tensor in =
-      Tensor::uniform(Shape::bchw(3, 2, bands * block, bands * block), rng);
-  Tensor out(Shape::bchw(3, 2, bands * cf, bands * cf));
-  const SandwichOptions opts{.lhs_bands = {cf, block},
-                             .rhs_bands = {block, cf}};
-  // Warm-up sizes every thread's scratch buffer...
-  sandwich_planes_into(lhs, in, rhs, out, opts);
-  const std::uint64_t warm = sandwich_scratch_reallocs();
-  // ...after which repeated calls must not allocate scratch again.
-  for (int i = 0; i < 5; ++i) sandwich_planes_into(lhs, in, rhs, out, opts);
-  EXPECT_EQ(sandwich_scratch_reallocs(), warm);
 }
 
 }  // namespace
