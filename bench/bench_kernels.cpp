@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -23,6 +24,7 @@
 #include "core/dct_chop.hpp"
 #include "core/plan_cache.hpp"
 #include "data/synth.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/cpu_features.hpp"
 #include "runtime/rng.hpp"
 #include "tensor/matmul.hpp"
@@ -60,10 +62,21 @@ class BackendScope {
 
 // Chop-family codecs are built from CodecFactory specs, pinned to the
 // bench resolution so plan resolution happens outside the timed loop.
-core::CodecPtr make_chop(const char* kind, std::size_t n, std::size_t cf) {
+core::CodecPtr make_chop(const char* kind, std::size_t n, std::size_t cf,
+                         const Context& ctx = Context::process_default()) {
   return core::make_codec(std::string(kind) + ":cf=" + std::to_string(cf) +
-                          ",block=8,h=" + std::to_string(n) +
-                          ",w=" + std::to_string(n));
+                              ",block=8,h=" + std::to_string(n) +
+                              ",w=" + std::to_string(n),
+                          ctx);
+}
+
+// A session per benchmark run, so the `<prefix>codec.*` registry series
+// it reports count that run alone.
+Context bench_context() {
+  static std::atomic<int> runs{0};
+  Context::Options options;
+  options.obs_prefix = "bench" + std::to_string(runs++) + ".";
+  return Context(options);
 }
 
 Tensor make_batch(std::size_t batch, std::size_t channels, std::size_t n) {
@@ -77,17 +90,29 @@ Tensor make_batch(std::size_t batch, std::size_t channels, std::size_t n) {
   return t;
 }
 
-// Publishes a codec's CodecStats counters alongside the benchmark timings.
-void report_codec_stats(benchmark::State& state, const core::Codec& codec) {
-  const core::CodecStatsSnapshot snap = codec.stats().snapshot();
-  state.counters["planes"] = static_cast<double>(snap.planes());
-  state.counters["eq_flops"] = static_cast<double>(snap.flops());
-  if (snap.compress.calls > 0) {
-    state.counters["comp_GFLOP/s"] = snap.compress.gflops_per_second();
-    state.counters["comp_GB/s"] = snap.compress.gigabytes_per_second();
+// Publishes a run's codec series alongside the benchmark timings.
+void report_codec_series(benchmark::State& state, const Context& ctx) {
+  const auto count = [&ctx](const std::string& name) {
+    return static_cast<double>(ctx.counter(name).value());
+  };
+  const auto both = [&count](const std::string& key) {
+    return count("codec.compress." + key) + count("codec.decompress." + key);
+  };
+  state.counters["planes"] = both("planes");
+  state.counters["eq_flops"] = both("flops");
+  state.counters["exec_flops"] = both("flops_executed");
+  // A count per nanosecond of wall time is giga-units per second.
+  const double comp_ns = static_cast<double>(
+      ctx.histogram("codec.compress.ns").snapshot().sum);
+  const double decomp_ns = static_cast<double>(
+      ctx.histogram("codec.decompress.ns").snapshot().sum);
+  if (comp_ns > 0) {
+    state.counters["comp_GFLOP/s"] = count("codec.compress.flops") / comp_ns;
+    state.counters["comp_GB/s"] = count("codec.compress.bytes_in") / comp_ns;
   }
-  if (snap.decompress.calls > 0) {
-    state.counters["decomp_GFLOP/s"] = snap.decompress.gflops_per_second();
+  if (decomp_ns > 0) {
+    state.counters["decomp_GFLOP/s"] =
+        count("codec.decompress.flops") / decomp_ns;
   }
 }
 
@@ -197,7 +222,8 @@ BENCHMARK_CAPTURE(sandwich_roundtrip_bench, avx2, KernelBackend::kAvx2)
 void BM_DctChopCompress(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
-  const core::CodecPtr codec = make_chop("dctchop", n, cf);
+  const Context ctx = bench_context();
+  const core::CodecPtr codec = make_chop("dctchop", n, cf, ctx);
   const Tensor batch = make_batch(4, 3, n);
   for (auto _ : state) {
     Tensor packed = codec->compress(batch);
@@ -205,7 +231,7 @@ void BM_DctChopCompress(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch.size_bytes()));
-  report_codec_stats(state, *codec);
+  report_codec_series(state, ctx);
 }
 BENCHMARK(BM_DctChopCompress)
     ->Args({32, 2})
@@ -217,7 +243,8 @@ BENCHMARK(BM_DctChopCompress)
 void BM_DctChopDecompress(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
-  const core::CodecPtr codec = make_chop("dctchop", n, cf);
+  const Context ctx = bench_context();
+  const core::CodecPtr codec = make_chop("dctchop", n, cf, ctx);
   const Tensor batch = make_batch(4, 3, n);
   const Tensor packed = codec->compress(batch);
   for (auto _ : state) {
@@ -226,7 +253,7 @@ void BM_DctChopDecompress(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch.size_bytes()));
-  report_codec_stats(state, *codec);
+  report_codec_series(state, ctx);
 }
 BENCHMARK(BM_DctChopDecompress)
     ->Args({32, 2})
@@ -240,7 +267,8 @@ BENCHMARK(BM_DctChopDecompress)
 void BM_DctChopRoundTripLargeBatch(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t cf = static_cast<std::size_t>(state.range(1));
-  const core::CodecPtr codec = make_chop("dctchop", n, cf);
+  const Context ctx = bench_context();
+  const core::CodecPtr codec = make_chop("dctchop", n, cf, ctx);
   const Tensor batch = make_batch(16, 3, n);
   for (auto _ : state) {
     Tensor packed = codec->compress(batch);
@@ -249,7 +277,7 @@ void BM_DctChopRoundTripLargeBatch(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch.size_bytes()));
-  report_codec_stats(state, *codec);
+  report_codec_series(state, ctx);
 }
 BENCHMARK(BM_DctChopRoundTripLargeBatch)
     ->Args({1024, 4})

@@ -59,11 +59,12 @@ core::PlanKey baseline_key(core::CodecKind kind, std::uint64_t param) {
   return key;
 }
 
-double stats_ratio(const core::CodecStats& stats) {
-  const core::CodecStatsSnapshot snap = stats.snapshot();
-  if (snap.compress.bytes_out == 0) return 1.0;
-  return static_cast<double>(snap.compress.bytes_in) /
-         static_cast<double>(snap.compress.bytes_out);
+double achieved_ratio(const std::atomic<std::uint64_t>& bytes_in,
+                      const std::atomic<std::uint64_t>& bytes_out) {
+  const std::uint64_t out = bytes_out.load(std::memory_order_relaxed);
+  if (out == 0) return 1.0;
+  return static_cast<double>(bytes_in.load(std::memory_order_relaxed)) /
+         static_cast<double>(out);
 }
 
 }  // namespace
@@ -72,7 +73,9 @@ double stats_ratio(const core::CodecStats& stats) {
 // SzComparatorCodec
 
 SzComparatorCodec::SzComparatorCodec(double error_bound, Context ctx)
-    : Codec(std::move(ctx)), inner_(error_bound) {
+    : Codec(std::move(ctx)),
+      inner_(error_bound),
+      compress_series_(ctx_, "sz.compress") {
   // Parameter-only plan: keeps baseline resolutions visible in
   // plan_cache.* metrics alongside the core kinds.
   (void)core::PlanCache::of(ctx_).resolve(
@@ -96,7 +99,7 @@ std::string SzComparatorCodec::spec() const {
 }
 
 double SzComparatorCodec::compression_ratio() const {
-  return stats_ratio(stats());
+  return achieved_ratio(bytes_in_, bytes_out_);
 }
 
 Shape SzComparatorCodec::compressed_shape(const Shape& input) const {
@@ -104,7 +107,7 @@ Shape SzComparatorCodec::compressed_shape(const Shape& input) const {
     throw std::invalid_argument("SzComparatorCodec: input must be BCHW");
   }
   // The packed form is the reconstruction (variable-length streams have
-  // no dense packed layout); the achieved size lives in stats().
+  // no dense packed layout); the achieved size is recorded per call.
   return input;
 }
 
@@ -115,8 +118,8 @@ Tensor SzComparatorCodec::compress(const Tensor& input) const {
   (void)compressed_shape(input.shape());
   const std::size_t planes = input.shape()[0] * input.shape()[1];
   // Planes are independent streams; fan them over the pool. The byte
-  // total is a commutative sum, so the relaxed atomic keeps stats
-  // deterministic regardless of completion order.
+  // total is a commutative sum, so the relaxed atomic keeps the byte
+  // counts deterministic regardless of completion order.
   std::atomic<std::size_t> stream_bytes{0};
   Tensor out(input.shape());
   runtime::parallel_for(
@@ -133,8 +136,10 @@ Tensor SzComparatorCodec::compress(const Tensor& input) const {
                                               input.shape()[3]));
       },
       {.grain = 1});
-  stats_.record_compress(planes, 0, input.size_bytes(),
-                         stream_bytes.load(), timer.nanos());
+  bytes_in_.fetch_add(input.size_bytes(), std::memory_order_relaxed);
+  bytes_out_.fetch_add(stream_bytes.load(), std::memory_order_relaxed);
+  compress_series_.record(planes, 0, 0, input.size_bytes(),
+                          stream_bytes.load(), timer.nanos());
   return out;
 }
 
@@ -150,7 +155,10 @@ Tensor SzComparatorCodec::decompress(const Tensor& packed,
 // JpegComparatorCodec
 
 JpegComparatorCodec::JpegComparatorCodec(int quality, bool chroma, Context ctx)
-    : Codec(std::move(ctx)), quality_(quality), chroma_(chroma) {
+    : Codec(std::move(ctx)),
+      quality_(quality),
+      chroma_(chroma),
+      compress_series_(ctx_, "jpeg.compress") {
   const core::PlanKey key = baseline_key(
       core::CodecKind::kJpeg,
       param_milli(static_cast<double>(quality)) + (chroma ? 1 : 0));
@@ -174,7 +182,7 @@ std::string JpegComparatorCodec::spec() const {
 }
 
 double JpegComparatorCodec::compression_ratio() const {
-  return stats_ratio(stats());
+  return achieved_ratio(bytes_in_, bytes_out_);
 }
 
 Shape JpegComparatorCodec::compressed_shape(const Shape& input) const {
@@ -210,8 +218,10 @@ Tensor JpegComparatorCodec::compress(const Tensor& input) const {
                                                input.shape()[3]));
       },
       {.grain = 1});
-  stats_.record_compress(planes, 0, input.size_bytes(),
-                         stream_bytes.load(), timer.nanos());
+  bytes_in_.fetch_add(input.size_bytes(), std::memory_order_relaxed);
+  bytes_out_.fetch_add(stream_bytes.load(), std::memory_order_relaxed);
+  compress_series_.record(planes, 0, 0, input.size_bytes(),
+                          stream_bytes.load(), timer.nanos());
   return out;
 }
 

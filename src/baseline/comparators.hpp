@@ -1,5 +1,7 @@
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 
 #include "baseline/jpeg_codec.hpp"
@@ -17,8 +19,9 @@ namespace aic::baseline {
 /// packed form, so the adapter is honest about what it can represent:
 /// compress() performs the full encode+decode round trip and returns the
 /// *reconstruction* (same shape as the input); decompress() is a
-/// pass-through. The achieved stream size is recorded in stats() — see
-/// compression_ratio().
+/// pass-through. The achieved stream size is recorded in the
+/// `sz.compress.bytes_out` series and in this instance's own byte totals
+/// — see compression_ratio().
 class SzComparatorCodec final : public core::Codec {
  public:
   explicit SzComparatorCodec(double error_bound,
@@ -27,8 +30,8 @@ class SzComparatorCodec final : public core::Codec {
   std::string name() const override;
   std::string spec() const override;
   /// Mean achieved ratio over everything compressed so far through this
-  /// instance (from stats()); SZ is variable-rate, so there is no
-  /// nominal a-priori ratio. 1.0 before the first compress().
+  /// instance; SZ is variable-rate, so there is no nominal a-priori
+  /// ratio. 1.0 before the first compress().
   double compression_ratio() const override;
   tensor::Shape compressed_shape(const tensor::Shape& input) const override;
   tensor::Tensor compress(const tensor::Tensor& input) const override;
@@ -39,6 +42,10 @@ class SzComparatorCodec final : public core::Codec {
 
  private:
   SzLikeCodec inner_;
+  core::CodecSeries compress_series_;
+  // Per-instance byte totals behind compression_ratio().
+  mutable std::atomic<std::uint64_t> bytes_in_{0};
+  mutable std::atomic<std::uint64_t> bytes_out_{0};
 };
 
 /// core::Codec adapter over the JPEG-style codec ("jpeg:q=75"). Same
@@ -66,6 +73,10 @@ class JpegComparatorCodec final : public core::Codec {
   bool chroma_;
   std::shared_ptr<const core::CodecPlan> plan_;  // holds the quant table
   const JpegLikeCodec* inner_;                   // owned by plan_
+  core::CodecSeries compress_series_;
+  // Per-instance byte totals behind compression_ratio().
+  mutable std::atomic<std::uint64_t> bytes_in_{0};
+  mutable std::atomic<std::uint64_t> bytes_out_{0};
 };
 
 /// Registers the baseline comparators (zfp, sz, jpeg, colorquant) with

@@ -81,7 +81,7 @@ core::CodecPtr make_archive_codec(
 /// dctchop / triangle / partial family — other kinds have no archive
 /// representation and throw std::invalid_argument). When `codec_out` is
 /// non-null it receives the codec instance that performed the
-/// compression (so its CodecStats can be inspected afterwards).
+/// compression (its counters are the context's registry series).
 Archive compress_to_archive(const tensor::Tensor& input,
                             const std::string& codec_spec,
                             core::CodecPtr* codec_out = nullptr,

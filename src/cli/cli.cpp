@@ -34,7 +34,6 @@
 #include "runtime/parallel_for.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
-#include "tensor/gemm_kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace aic::cli {
@@ -209,86 +208,89 @@ int usage(std::ostream& err) {
          "  eval accepts any registered codec.) A flag the command does\n"
          "  not read exits 1 naming it; --codec excludes --cf/--block/\n"
          "  --transform/--triangle.\n"
-         "  --stats prints per-codec counters (calls, planes, Eq. 5/7\n"
-         "  FLOPs, bytes, wall time) after the operation, plus chunked-\n"
-         "  pipeline and thread-pool counters when a v4 archive moved.\n"
+         "  --stats prints the metrics registry after the operation as one\n"
+         "  table, a row per series stem: codec.compress (calls, planes,\n"
+         "  Eq. 5/7 flops, flops_executed, bytes, seconds), kernel[...],\n"
+         "  pipeline, plan_cache, ..., then the thread-pool row.\n"
          "  --chunk-bytes sets the v4 chunk budget (default 65536);\n"
          "  --entropy picks the per-chunk coding (default raw; auto\n"
          "  chooses the smallest of raw/packed/huffman per chunk).\n"
          "  --threads N sizes the shared worker pool; precedence is the\n"
          "  flag, then AIC_THREADS, then AIC_NUM_THREADS (legacy alias),\n"
          "  then the hardware concurrency.\n"
-         "  --metrics prints latency percentiles (p50/p90/p99) and the\n"
-         "  per-simulator cost-model drift table after the operation.\n"
+         "  --metrics prints the per-simulator cost-model drift table, the\n"
+         "  --stats table and latency percentiles (p50/p90/p99).\n"
          "  --trace <out.json> records spans and writes Chrome trace-event\n"
          "  JSON (open in Perfetto / chrome://tracing). AIC_TRACE=<path>\n"
          "  does the same without flags.\n";
   return 2;
 }
 
-void print_op_stats(std::ostream& out, const char* label,
-                    const core::CodecOpStats& op) {
-  if (op.calls == 0) return;
-  out << "  " << label << ": calls=" << op.calls << " planes=" << op.planes
-      << " eq_flops=" << op.flops << " bytes " << op.bytes_in << " -> "
-      << op.bytes_out << " in " << op.seconds << " s ("
-      << op.gflops_per_second() << " GFLOP/s)\n";
-}
-
-void print_stats(std::ostream& out, const core::Codec& codec,
-                 const Context& ctx) {
-  const core::CodecStatsSnapshot snap = codec.stats().snapshot();
-  out << "stats[" << codec.name() << "]:\n";
-  print_op_stats(out, "compress", snap.compress);
-  print_op_stats(out, "decompress", snap.decompress);
-  const tensor::GemmCounters kc = tensor::gemm_counters();
-  out << "kernels[" << runtime::kernel_backend_name()
-      << "]: gemm_calls=" << kc.gemm_calls << " a_panels=" << kc.a_panels_packed
-      << " b_panels=" << kc.b_panels_packed
-      << " microkernel_calls=" << kc.microkernel_calls
-      << " tail_tiles=" << kc.tail_tiles << " axpy_calls=" << kc.axpy_calls
-      << " block_mac_calls=" << kc.block_mac_calls
-      << " gemm_flops=" << kc.flops << "\n";
-  // Chunked-archive pipeline counters (see obs/pipeline.hpp); only shown
-  // once a v4 archive moved through this process.
+/// The registry as one table, one row per stem: a counter or gauge
+/// `<stem>.<key>` prints as `key=value` in the row of `<stem>`, and a
+/// `<stem>.ns` histogram adds the row's `calls` and wall `seconds` (and
+/// `GFLOP/s` when the row counts `flops`). So the codec series
+/// `codec.compress.{ns,planes,flops,flops_executed,bytes_in,bytes_out}`
+/// make one row, as do `kernel.*`, `pipeline.*` and `plan_cache.*`.
+/// All-zero rows are skipped; the pool row closes the table.
+void print_registry(std::ostream& out, const Context& ctx) {
+  struct Row {
+    std::string values;  // " key=value" per series
+    bool live = false;
+  };
+  std::map<std::string, Row> rows;
+  const auto add = [&rows](const std::string& name, const auto& value) {
+    const std::size_t dot = name.rfind('.');  // npos: the name is its row
+    Row& row = rows[name.substr(0, dot)];
+    std::ostringstream text;
+    text << ' ' << name.substr(dot + 1) << '=' << value;
+    row.values += text.str();
+    row.live = row.live || value != 0;
+  };
   const obs::Registry& reg = obs::Registry::global();
-  const auto counters = reg.counters();
-  const auto gauges = reg.gauges();
-  const auto counter = [&](const std::string& name) -> std::uint64_t {
-    for (const auto& [key, value] : counters) {
-      if (key == name) return value;
+  std::map<std::string, std::uint64_t> flops;
+  for (const auto& [name, value] : reg.counters()) {
+    add(name, value);
+    if (name.ends_with(".flops")) {
+      flops[name.substr(0, name.size() - 6)] = value;
     }
-    return 0;
-  };
-  const auto gauge = [&](const std::string& name) -> double {
-    for (const auto& [key, value] : gauges) {
-      if (key == name) return value;
-    }
-    return 0.0;
-  };
-  if (counter("pipeline.chunks_encoded") != 0 ||
-      counter("pipeline.chunks_decoded") != 0) {
-    const runtime::ThreadPoolStats pool = ctx.pool().stats();
-    const runtime::ParallelForStats pfor = runtime::parallel_for_stats();
-    out << "pipeline: chunks_encoded=" << counter("pipeline.chunks_encoded")
-        << " chunks_decoded=" << counter("pipeline.chunks_decoded")
-        << " encode_reallocs=" << counter("pipeline.encode_reallocs")
-        << " chunk_bytes=" << gauge("pipeline.last_chunk_bytes")
-        << " chunks=" << gauge("pipeline.last_chunks")
-        << " overlap_efficiency=" << gauge("pipeline.overlap_efficiency")
-        << "\n";
-    out << "pool[" << ctx.pool().size()
-        << " threads]: tasks_executed=" << pool.tasks_executed
-        << " tasks_inlined=" << pool.tasks_inlined
-        << " peak_queue_depth=" << pool.peak_queue_depth
-        << " pfor_parallel=" << pfor.parallel_runs
-        << " pfor_inline=" << pfor.inline_runs
-        << " pfor_last_tasks=" << pfor.last_tasks
-        << " pfor_last_chunk=" << pfor.last_chunk << "\n";
   }
+  for (const auto& [name, value] : reg.gauges()) add(name, value);
+  for (const auto& [name, snap] : reg.histograms()) {
+    if (!name.ends_with(".ns") || snap.count == 0) continue;
+    const std::string stem = name.substr(0, name.size() - 3);
+    add(stem + ".calls", snap.count);
+    add(stem + ".seconds", static_cast<double>(snap.sum) / 1e9);
+    if (flops[stem] != 0 && snap.sum != 0) {
+      add(stem + ".GFLOP/s", static_cast<double>(flops[stem]) /
+                                 static_cast<double>(snap.sum));
+    }
+  }
+  out << "stats (registry series by stem):\n";
+  for (const auto& [stem, row] : rows) {
+    if (!row.live) continue;
+    const std::string label =
+        stem == "kernel"
+            ? "kernel[" + std::string(runtime::kernel_backend_name()) + "]"
+            : stem;
+    out << "  " << std::left << std::setw(24) << label << row.values << "\n";
+  }
+  const runtime::ThreadPoolStats pool = ctx.pool().stats();
+  const runtime::ParallelForStats pfor = runtime::parallel_for_stats();
+  out << "  " << std::left << std::setw(24)
+      << "pool[" + std::to_string(ctx.pool().size()) + " threads]"
+      << " tasks_executed=" << pool.tasks_executed
+      << " tasks_inlined=" << pool.tasks_inlined
+      << " peak_queue_depth=" << pool.peak_queue_depth
+      << " pfor_parallel=" << pfor.parallel_runs
+      << " pfor_inline=" << pfor.inline_runs
+      << " pfor_last_tasks=" << pfor.last_tasks
+      << " pfor_last_chunk=" << pfor.last_chunk << "\n";
 }
 
-void print_metrics(std::ostream& out) {
+/// `--metrics`: the per-simulator cost-model drift table, the registry
+/// table of `--stats`, then the latency percentiles of every histogram.
+void print_metrics(std::ostream& out, const Context& ctx) {
   // Per-simulator drift table: one small compress graph through each
   // paper platform, predicted (cost model) vs. measured (host) time.
   out << "cost-model drift (predicted vs. host-measured):\n";
@@ -307,10 +309,10 @@ void print_metrics(std::ostream& out) {
         << row.drift_ratio() << "\n";
   }
   out.unsetf(std::ios::floatfield);
-
-  const obs::Registry& reg = obs::Registry::global();
+  out << std::setprecision(6);
+  print_registry(out, ctx);
   out << "latency histograms (ns):\n";
-  for (const auto& [name, snap] : reg.histograms()) {
+  for (const auto& [name, snap] : obs::Registry::global().histograms()) {
     if (snap.count == 0) continue;
     out << "  " << std::left << std::setw(28) << name << std::right
         << " count=" << snap.count << " p50=" << std::setprecision(0)
@@ -318,14 +320,7 @@ void print_metrics(std::ostream& out) {
         << " p99=" << snap.p99() << " max=" << snap.max << "\n";
   }
   out.unsetf(std::ios::floatfield);
-  out << "counters:\n";
-  for (const auto& [name, value] : reg.counters()) {
-    out << "  " << std::left << std::setw(28) << name << " " << value << "\n";
-  }
-  out << "gauges:\n";
-  for (const auto& [name, value] : reg.gauges()) {
-    out << "  " << std::left << std::setw(28) << name << " " << value << "\n";
-  }
+  out << std::setprecision(6);
 }
 
 /// Standalone `aicomp --metrics` / `aicomp --trace <f>`: run a small
@@ -614,7 +609,6 @@ int cmd_compress(const Options& options, std::ostream& out,
   });
   out << codec->name() << ": " << input.size_bytes() << " -> " << archive_bytes
       << " archive bytes (CR " << codec->compression_ratio() << ")\n";
-  if (options.stats) print_stats(out, *codec, ctx);
   return 0;
 }
 
@@ -630,8 +624,7 @@ int cmd_decompress(const Options& options, std::ostream& out,
   write_output(options.positional[1], "decompress",
                [&](std::ostream& file) { io::write_tensor(restored, file); });
   out << "restored " << restored.shape().to_string() << " to "
-      << options.positional[1] << "\n";
-  if (options.stats) print_stats(out, *codec, ctx);
+      << options.positional[1] << " (" << codec->name() << ")\n";
   return 0;
 }
 
@@ -652,7 +645,6 @@ int cmd_verify(const Options& options, std::ostream& out,
       << " original=" << archive.original_shape.to_string()
       << " packed=" << archive.packed.shape().to_string() << " ("
       << archive.packed.size_bytes() << " bytes)\n";
-  if (options.stats) print_stats(out, *codec, ctx);
   return 0;
 }
 
@@ -703,7 +695,6 @@ int cmd_eval(const Options& options, std::ostream& out, const Context& ctx) {
   out << codec->name() << ": CR=" << rd.compression_ratio
       << " MSE=" << rd.mse << " PSNR=" << rd.psnr_db
       << " dB max|err|=" << rd.max_abs_error << "\n";
-  if (options.stats) print_stats(out, *codec, ctx);
   return 0;
 }
 
@@ -781,7 +772,11 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
       out << "wrote trace to " << options.trace_path << " ("
           << obs::collect_trace().size() << " spans)\n";
     }
-    if (options.metrics) print_metrics(out);
+    if (options.metrics) {
+      print_metrics(out, ctx);
+    } else if (options.stats) {
+      print_registry(out, ctx);
+    }
     if (!options.metrics_out.empty()) {
       // Machine-readable --metrics: the full registry snapshot as JSON
       // (the same document the JSONL exporter appends per interval).

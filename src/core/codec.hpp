@@ -1,16 +1,40 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 
-#include "core/codec_stats.hpp"
 #include "runtime/context.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
 
 namespace aic::core {
+
+/// The registry series one codec direction records into, resolved once
+/// (at codec construction) under the context's metric prefix. For stem
+/// `codec.compress` they are the histogram `codec.compress.ns` (count =
+/// calls, sum = wall nanoseconds) and the counters
+/// `codec.compress.planes`, `.flops` (the dense Eq. 5/7 count),
+/// `.flops_executed` (what the block kernel issues), `.bytes_in` and
+/// `.bytes_out`. Recording is lock-free.
+class CodecSeries {
+ public:
+  CodecSeries(const Context& ctx, const std::string& stem);
+
+  void record(std::uint64_t planes, std::uint64_t flops,
+              std::uint64_t flops_executed, std::uint64_t bytes_in,
+              std::uint64_t bytes_out, std::uint64_t nanos) const noexcept;
+
+ private:
+  obs::Histogram& ns_;
+  obs::Counter& planes_;
+  obs::Counter& flops_;
+  obs::Counter& flops_executed_;
+  obs::Counter& bytes_in_;
+  obs::Counter& bytes_out_;
+};
 
 /// A fixed-rate lossy codec over BCHW tensors.
 ///
@@ -67,14 +91,9 @@ class Codec {
     return decompress(compress(input), input.shape());
   }
 
-  /// Cumulative per-codec counters (calls, planes, Eq. 5/7 FLOPs, bytes,
-  /// wall time). Instrumented codecs update these inside compress /
-  /// decompress; the reference returned is mutable so callers can reset
-  /// between measurement windows.
-  CodecStats& stats() const noexcept { return stats_; }
-
   /// The session this codec resolves plans in, executes on, and reports
-  /// metrics under. Copies of a codec's context refer to the same session.
+  /// metrics under (instrumented codecs record into CodecSeries under its
+  /// prefix). Copies of a codec's context refer to the same session.
   const Context& context() const noexcept { return ctx_; }
 
  protected:
@@ -82,7 +101,6 @@ class Codec {
   explicit Codec(Context ctx) : ctx_(std::move(ctx)) {}
 
   Context ctx_;
-  mutable CodecStats stats_;
 };
 
 using CodecPtr = std::shared_ptr<const Codec>;

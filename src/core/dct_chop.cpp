@@ -5,7 +5,6 @@
 
 #include "core/plan_cache.hpp"
 #include "io/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/timer.hpp"
 
@@ -17,8 +16,8 @@ using tensor::Tensor;
 DctChopCodec::DctChopCodec(DctChopConfig config, Context ctx)
     : Codec(std::move(ctx)),
       config_(config),
-      compress_latency_(ctx_.histogram("codec.compress.ns")),
-      decompress_latency_(ctx_.histogram("codec.decompress.ns")) {
+      compress_series_(ctx_, "codec.compress"),
+      decompress_series_(ctx_, "codec.decompress") {
   const auto& c = config_;
   if (c.block == 0 || c.cf == 0 || c.cf > c.block) {
     throw std::invalid_argument("DctChopCodec: cf must be in [1, block]");
@@ -110,13 +109,12 @@ void DctChopCodec::compress_into(const Tensor& input, Tensor& out) const {
       plan_for(input.shape()[2], input.shape()[3]);
   plan->compress_into(input, out);
   const std::size_t planes = input.shape()[0] * input.shape()[1];
-  const std::uint64_t nanos = timer.nanos();
-  stats_.record_compress(planes,
-                         planes * flops_compress_hw(input.shape()[2],
-                                                    input.shape()[3],
-                                                    config_.cf, config_.block),
-                         input.size_bytes(), out.size_bytes(), nanos);
-  compress_latency_.record(nanos);
+  const std::size_t h = input.shape()[2];
+  const std::size_t w = input.shape()[3];
+  compress_series_.record(
+      planes, planes * flops_compress_hw(h, w, config_.cf, config_.block),
+      planes * flops_executed_hw(h, w, config_.cf, config_.block),
+      input.size_bytes(), out.size_bytes(), timer.nanos());
 }
 
 Tensor DctChopCodec::decompress(const Tensor& packed,
@@ -145,14 +143,12 @@ void DctChopCodec::decompress_into(const Tensor& packed,
   if (out.shape() != original) out = Tensor(original);
   plan->decompress_into(packed, out);
   const std::size_t planes = original[0] * original[1];
-  const std::uint64_t nanos = timer.nanos();
-  stats_.record_decompress(planes,
-                           planes * flops_decompress_hw(original[2],
-                                                        original[3],
-                                                        config_.cf,
-                                                        config_.block),
-                           packed.size_bytes(), out.size_bytes(), nanos);
-  decompress_latency_.record(nanos);
+  const std::size_t h = original[2];
+  const std::size_t w = original[3];
+  decompress_series_.record(
+      planes, planes * flops_decompress_hw(h, w, config_.cf, config_.block),
+      planes * flops_executed_hw(h, w, config_.cf, config_.block),
+      packed.size_bytes(), out.size_bytes(), timer.nanos());
 }
 
 std::size_t DctChopCodec::flops_compress(std::size_t n, std::size_t cf,
@@ -186,6 +182,12 @@ std::size_t DctChopCodec::flops_decompress_hw(std::size_t h, std::size_t w,
   const std::size_t ch = cf * h / block;
   const std::size_t cw = cf * w / block;
   return (2 * cw - 1) * ch * w + (2 * ch - 1) * h * w;
+}
+
+std::size_t DctChopCodec::flops_executed_hw(std::size_t h, std::size_t w,
+                                            std::size_t cf,
+                                            std::size_t block) {
+  return 2 * h * w * cf * (block + cf) / block;
 }
 
 }  // namespace aic::core

@@ -8,10 +8,6 @@
 #include "core/dct.hpp"
 #include "core/plan.hpp"
 
-namespace aic::obs {
-class Histogram;
-}  // namespace aic::obs
-
 namespace aic::core {
 
 /// Configuration of the DCT+Chop compressor.
@@ -41,11 +37,11 @@ struct DctChopConfig {
 ///   decompress  A' = RHS · Y · LHS     (Eq. 6)
 ///
 /// with LHS = M·T_L precomputed in a DctChopPlan ("compile time") as the
-/// one CF×block tile it repeats. The codec itself is a thin stateful
-/// shell — stats and latency metrics — over the immutable plan; plans are
-/// shared through the PlanCache, so two codecs at the same (shape, cf,
-/// block, transform) execute the same plan. The dense operators come
-/// from make_lhs()/make_rhs().
+/// one CF×block tile it repeats. The codec itself is a thin shell — its
+/// `codec.compress` / `codec.decompress` registry series — over the
+/// immutable plan; plans are shared through the PlanCache, so two codecs
+/// at the same (shape, cf, block, transform) execute the same plan. The
+/// dense operators come from make_lhs()/make_rhs().
 class DctChopCodec final : public Codec {
  public:
   explicit DctChopCodec(DctChopConfig config,
@@ -91,13 +87,17 @@ class DctChopCodec final : public Codec {
   static std::size_t flops_decompress_hw(std::size_t h, std::size_t w,
                                          std::size_t cf,
                                          std::size_t block = kDefaultBlock);
+  /// FLOPs the block kernel executes on one h×w plane, either direction:
+  /// CF MACs per pixel against the right tile plus CF²/block against the
+  /// left, 2·h·w·CF·(1 + CF/block) (6 MACs per pixel at CF=4, block=8).
+  static std::size_t flops_executed_hw(std::size_t h, std::size_t w,
+                                       std::size_t cf,
+                                       std::size_t block = kDefaultBlock);
 
  private:
   DctChopConfig config_;
-  // Context-scoped latency series, resolved once at construction (registry
-  // lookups take a mutex; instruments outlive the process).
-  obs::Histogram& compress_latency_;
-  obs::Histogram& decompress_latency_;
+  CodecSeries compress_series_;
+  CodecSeries decompress_series_;
   std::shared_ptr<const DctChopPlan> pinned_;  // null when shape-agnostic
 };
 

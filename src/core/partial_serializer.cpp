@@ -8,7 +8,6 @@
 #include "core/plan_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "io/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/timer.hpp"
 
@@ -50,8 +49,8 @@ void copy_window(const Tensor& src, std::size_t src_h, std::size_t src_w,
 PartialSerialCodec::PartialSerialCodec(PartialSerialConfig config, Context ctx)
     : Codec(std::move(ctx)),
       config_(config),
-      compress_latency_(ctx_.histogram("ps.compress.ns")),
-      decompress_latency_(ctx_.histogram("ps.decompress.ns")) {
+      compress_series_(ctx_, "ps.compress"),
+      decompress_series_(ctx_, "ps.decompress") {
   const auto& c = config_;
   if (c.subdivision == 0) {
     throw std::invalid_argument("PartialSerialCodec: subdivision must be >= 1");
@@ -183,15 +182,14 @@ Tensor PartialSerialCodec::compress(const Tensor& input) const {
     if (pending.valid()) pending.wait();
     throw;
   }
-  const std::size_t planes = batch * channels;
-  const std::uint64_t nanos = timer.nanos();
-  stats_.record_compress(
-      planes,
-      planes * s * s *
-          DctChopCodec::flops_compress_hw(chunk_h, chunk_w, config_.cf,
-                                          config_.block),
-      input.size_bytes(), out.size_bytes(), nanos);
-  compress_latency_.record(nanos);
+  const std::size_t launches = batch * channels * s * s;
+  compress_series_.record(
+      batch * channels,
+      launches * DctChopCodec::flops_compress_hw(chunk_h, chunk_w, config_.cf,
+                                                 config_.block),
+      launches * DctChopCodec::flops_executed_hw(chunk_h, chunk_w, config_.cf,
+                                                 config_.block),
+      input.size_bytes(), out.size_bytes(), timer.nanos());
   return out;
 }
 
@@ -228,15 +226,14 @@ Tensor PartialSerialCodec::decompress(const Tensor& packed,
                   chunk_w);
     }
   }
-  const std::size_t planes = batch * channels;
-  const std::uint64_t nanos = timer.nanos();
-  stats_.record_decompress(
-      planes,
-      planes * s * s *
-          DctChopCodec::flops_decompress_hw(chunk_h, chunk_w, config_.cf,
-                                            config_.block),
-      packed.size_bytes(), out.size_bytes(), nanos);
-  decompress_latency_.record(nanos);
+  const std::size_t launches = batch * channels * s * s;
+  decompress_series_.record(
+      batch * channels,
+      launches * DctChopCodec::flops_decompress_hw(chunk_h, chunk_w,
+                                                   config_.cf, config_.block),
+      launches * DctChopCodec::flops_executed_hw(chunk_h, chunk_w, config_.cf,
+                                                 config_.block),
+      packed.size_bytes(), out.size_bytes(), timer.nanos());
   return out;
 }
 

@@ -45,7 +45,8 @@ class PartialSerialCodec final : public Codec {
   const PartialSerialConfig& config() const { return config_; }
   bool pinned() const { return pinned_ != nullptr; }
   /// The shared chunk-resolution codec driving every chunk launch. Its
-  /// stats accumulate the s² launches per call.
+  /// `codec.*` series count the s² launches per call; this codec records
+  /// the whole call under `ps.*`.
   const DctChopCodec& chunk_codec() const { return *chunk_codec_; }
 
   /// The compiled plan serving a h×w input (pinned plan or PlanCache
@@ -71,8 +72,8 @@ class PartialSerialCodec final : public Codec {
 
  private:
   PartialSerialConfig config_;
-  obs::Histogram& compress_latency_;
-  obs::Histogram& decompress_latency_;
+  CodecSeries compress_series_;
+  CodecSeries decompress_series_;
   std::shared_ptr<const PartialSerialPlan> pinned_;  // null when agnostic
   std::unique_ptr<DctChopCodec> chunk_codec_;
 };

@@ -16,6 +16,8 @@ using tensor::Tensor;
 TriangleCodec::TriangleCodec(DctChopConfig config, Context ctx)
     : Codec(std::move(ctx)),
       config_(config),
+      compress_series_(ctx_, "sg.compress"),
+      decompress_series_(ctx_, "sg.decompress"),
       inner_(std::make_unique<DctChopCodec>(config, ctx_)) {
   per_block_ = config_.cf * (config_.cf + 1) / 2;
   if (config_.height != 0 || config_.width != 0) {
@@ -89,11 +91,15 @@ Tensor TriangleCodec::compress(const Tensor& input) const {
       plan_for(input.shape()[2], input.shape()[3]);
   plan->compress_into(input, out);
   const std::size_t planes = input.shape()[0] * input.shape()[1];
-  stats_.record_compress(planes,
-                         planes * DctChopCodec::flops_compress_hw(
-                                      input.shape()[2], input.shape()[3],
-                                      config_.cf, config_.block),
-                         input.size_bytes(), out.size_bytes(), timer.nanos());
+  const std::size_t h = input.shape()[2];
+  const std::size_t w = input.shape()[3];
+  compress_series_.record(
+      planes,
+      planes * DctChopCodec::flops_compress_hw(h, w, config_.cf,
+                                               config_.block),
+      planes * DctChopCodec::flops_executed_hw(h, w, config_.cf,
+                                               config_.block),
+      input.size_bytes(), out.size_bytes(), timer.nanos());
   return out;
 }
 
@@ -114,12 +120,15 @@ Tensor TriangleCodec::decompress(const Tensor& packed,
   Tensor out(original);
   plan->decompress_into(packed, out);
   const std::size_t planes = original[0] * original[1];
-  stats_.record_decompress(planes,
-                           planes * DctChopCodec::flops_decompress_hw(
-                                        original[2], original[3], config_.cf,
-                                        config_.block),
-                           packed.size_bytes(), out.size_bytes(),
-                           timer.nanos());
+  const std::size_t h = original[2];
+  const std::size_t w = original[3];
+  decompress_series_.record(
+      planes,
+      planes * DctChopCodec::flops_decompress_hw(h, w, config_.cf,
+                                                 config_.block),
+      planes * DctChopCodec::flops_executed_hw(h, w, config_.cf,
+                                               config_.block),
+      packed.size_bytes(), out.size_bytes(), timer.nanos());
   return out;
 }
 

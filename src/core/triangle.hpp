@@ -21,8 +21,8 @@ namespace aic::core {
 /// 64/(CF(CF+1)/2), a factor 2CF/(CF+1).
 ///
 /// The gather index tables and the inner chop operands live in a
-/// TrianglePlan shared through the PlanCache; the codec is the stateful
-/// shell over it.
+/// TrianglePlan shared through the PlanCache; the codec is the shell over
+/// it that records the `sg.compress` / `sg.decompress` registry series.
 class TriangleCodec final : public Codec {
  public:
   explicit TriangleCodec(DctChopConfig config,
@@ -53,6 +53,8 @@ class TriangleCodec final : public Codec {
 
  private:
   DctChopConfig config_;
+  CodecSeries compress_series_;
+  CodecSeries decompress_series_;
   std::shared_ptr<const TrianglePlan> pinned_;  // null when shape-agnostic
   std::unique_ptr<DctChopCodec> inner_;
   std::size_t per_block_ = 0;

@@ -12,7 +12,10 @@
 namespace aic::obs {
 
 /// Monotonic event counter. One relaxed fetch_add per add — always-on.
-class Counter {
+/// Each counter owns a cache line: the codec and kernel series are added
+/// from pool workers, and a line shared with other heap data measurably
+/// slowed the block kernel.
+class alignas(64) Counter {
  public:
   void add(std::uint64_t delta = 1) noexcept {
     value_.fetch_add(delta, std::memory_order_relaxed);

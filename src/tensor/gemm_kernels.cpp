@@ -11,6 +11,7 @@
 #define AIC_GEMM_X86 0
 #endif
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/aligned_buffer.hpp"
 #include "runtime/parallel_for.hpp"
@@ -24,18 +25,6 @@ constexpr std::size_t kMr = kGemmMr;
 constexpr std::size_t kNr = kGemmNr;
 constexpr std::size_t kMc = kGemmMc;
 static_assert(kMc % kMr == 0, "row block must be a whole number of panels");
-
-struct AtomicCounters {
-  std::atomic<std::uint64_t> gemm_calls{0};
-  std::atomic<std::uint64_t> a_panels_packed{0};
-  std::atomic<std::uint64_t> b_panels_packed{0};
-  std::atomic<std::uint64_t> microkernel_calls{0};
-  std::atomic<std::uint64_t> tail_tiles{0};
-  std::atomic<std::uint64_t> axpy_calls{0};
-  std::atomic<std::uint64_t> block_mac_calls{0};
-  std::atomic<std::uint64_t> flops{0};
-};
-AtomicCounters g_counters;
 
 // Per-thread pack scratch, grown monotonically and reused across calls.
 // A and B use distinct buffers because the thread that packs B may also
@@ -325,66 +314,19 @@ void micro_tile(bool avx2, std::size_t k, const float* ap, const float* bp,
 
 }  // namespace
 
-GemmCounters gemm_counters() noexcept {
-  GemmCounters out;
-  out.gemm_calls = g_counters.gemm_calls.load(std::memory_order_relaxed);
-  out.a_panels_packed =
-      g_counters.a_panels_packed.load(std::memory_order_relaxed);
-  out.b_panels_packed =
-      g_counters.b_panels_packed.load(std::memory_order_relaxed);
-  out.microkernel_calls =
-      g_counters.microkernel_calls.load(std::memory_order_relaxed);
-  out.tail_tiles = g_counters.tail_tiles.load(std::memory_order_relaxed);
-  out.axpy_calls = g_counters.axpy_calls.load(std::memory_order_relaxed);
-  out.block_mac_calls =
-      g_counters.block_mac_calls.load(std::memory_order_relaxed);
-  out.flops = g_counters.flops.load(std::memory_order_relaxed);
-  return out;
-}
-
-void reset_gemm_counters() noexcept {
-  g_counters.gemm_calls.store(0, std::memory_order_relaxed);
-  g_counters.a_panels_packed.store(0, std::memory_order_relaxed);
-  g_counters.b_panels_packed.store(0, std::memory_order_relaxed);
-  g_counters.microkernel_calls.store(0, std::memory_order_relaxed);
-  g_counters.tail_tiles.store(0, std::memory_order_relaxed);
-  g_counters.axpy_calls.store(0, std::memory_order_relaxed);
-  g_counters.block_mac_calls.store(0, std::memory_order_relaxed);
-  g_counters.flops.store(0, std::memory_order_relaxed);
-}
-
-void add_gemm_counters(const GemmCounters& delta) noexcept {
-  if (delta.gemm_calls) {
-    g_counters.gemm_calls.fetch_add(delta.gemm_calls,
-                                    std::memory_order_relaxed);
-  }
-  if (delta.a_panels_packed) {
-    g_counters.a_panels_packed.fetch_add(delta.a_panels_packed,
-                                         std::memory_order_relaxed);
-  }
-  if (delta.b_panels_packed) {
-    g_counters.b_panels_packed.fetch_add(delta.b_panels_packed,
-                                         std::memory_order_relaxed);
-  }
-  if (delta.microkernel_calls) {
-    g_counters.microkernel_calls.fetch_add(delta.microkernel_calls,
-                                           std::memory_order_relaxed);
-  }
-  if (delta.tail_tiles) {
-    g_counters.tail_tiles.fetch_add(delta.tail_tiles,
-                                    std::memory_order_relaxed);
-  }
-  if (delta.axpy_calls) {
-    g_counters.axpy_calls.fetch_add(delta.axpy_calls,
-                                    std::memory_order_relaxed);
-  }
-  if (delta.block_mac_calls) {
-    g_counters.block_mac_calls.fetch_add(delta.block_mac_calls,
-                                         std::memory_order_relaxed);
-  }
-  if (delta.flops) {
-    g_counters.flops.fetch_add(delta.flops, std::memory_order_relaxed);
-  }
+const KernelCounters& kernel_counters() {
+  static const KernelCounters counters = [] {
+    obs::Registry& registry = obs::Registry::global();
+    return KernelCounters{registry.counter("kernel.gemm_calls"),
+                          registry.counter("kernel.a_panels"),
+                          registry.counter("kernel.b_panels"),
+                          registry.counter("kernel.microkernel_calls"),
+                          registry.counter("kernel.tail_tiles"),
+                          registry.counter("kernel.axpy_calls"),
+                          registry.counter("kernel.block_mac_calls"),
+                          registry.counter("kernel.gemm_flops")};
+  }();
+  return counters;
 }
 
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
@@ -439,14 +381,13 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
       },
       {.grain = kMc});
 
-  GemmCounters delta;
-  delta.gemm_calls = 1;
-  delta.a_panels_packed = a_panel_total.load(std::memory_order_relaxed);
-  delta.b_panels_packed = n_panels;
-  delta.microkernel_calls = micro_total.load(std::memory_order_relaxed);
-  delta.tail_tiles = tail_total.load(std::memory_order_relaxed);
-  delta.flops = static_cast<std::uint64_t>(2) * m * n * k;
-  add_gemm_counters(delta);
+  const KernelCounters& counters = kernel_counters();
+  counters.gemm_calls.add();
+  counters.a_panels.add(a_panel_total.load(std::memory_order_relaxed));
+  counters.b_panels.add(n_panels);
+  counters.microkernel_calls.add(micro_total.load(std::memory_order_relaxed));
+  counters.tail_tiles.add(tail_total.load(std::memory_order_relaxed));
+  counters.gemm_flops.add(static_cast<std::uint64_t>(2) * m * n * k);
 }
 
 void axpy_row(float alpha, const float* src, float* dst,

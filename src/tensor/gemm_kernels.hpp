@@ -5,6 +5,10 @@
 
 #include "runtime/cpu_features.hpp"
 
+namespace aic::obs {
+class Counter;
+}  // namespace aic::obs
+
 namespace aic::tensor {
 
 /// Operand orientation for gemm / matmul_into: kYes means the raw storage
@@ -12,33 +16,28 @@ namespace aic::tensor {
 /// read it transposed — callers never materialize a transposed copy.
 enum class Trans : std::uint8_t { kNo, kYes };
 
-/// Cumulative process-wide counters of the kernel layer. Updated with
-/// relaxed atomics, aggregated once per gemm call / sandwich chunk (never
-/// per tile), so they are always-on like core::CodecStats.
-struct GemmCounters {
-  std::uint64_t gemm_calls = 0;
+/// Process-wide kernel-layer counters: the registry series `kernel.*`,
+/// reached through one cached handle struct. Added once per gemm call /
+/// block-kernel chunk (never per tile), so they stay always-on.
+struct KernelCounters {
+  obs::Counter& gemm_calls;
   /// MR-row A panels packed into per-thread scratch.
-  std::uint64_t a_panels_packed = 0;
+  obs::Counter& a_panels;
   /// NR-column B panels packed on the calling thread.
-  std::uint64_t b_panels_packed = 0;
-  std::uint64_t microkernel_calls = 0;
+  obs::Counter& b_panels;
+  obs::Counter& microkernel_calls;
   /// Microkernel invocations on partial tiles (mr < MR or nr < NR).
-  std::uint64_t tail_tiles = 0;
+  obs::Counter& tail_tiles;
   /// Wide fused-multiply-add row updates (block sandwich stage 2).
-  std::uint64_t axpy_calls = 0;
+  obs::Counter& axpy_calls;
   /// Small dense block MACs (block sandwich stage 1).
-  std::uint64_t block_mac_calls = 0;
+  obs::Counter& block_mac_calls;
   /// 2·m·n·k FLOPs issued through gemm (excludes axpy/block_mac work).
-  std::uint64_t flops = 0;
+  obs::Counter& gemm_flops;
 };
 
-GemmCounters gemm_counters() noexcept;
-void reset_gemm_counters() noexcept;
-
-/// Adds `delta` to the process-wide counters. Used by callers that drive
-/// the primitive kernels (axpy_row / block_mac) directly and aggregate
-/// their own call counts per parallel chunk.
-void add_gemm_counters(const GemmCounters& delta) noexcept;
+/// The `kernel.*` handles, registered on first use.
+const KernelCounters& kernel_counters();
 
 /// Microkernel geometry (exposed for tests and blocking documentation):
 /// a kGemmMr × kGemmNr register accumulator tile — 6 rows × two 8-float

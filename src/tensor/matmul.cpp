@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel_for.hpp"
 #include "tensor/gemm_kernels.hpp"
@@ -85,10 +86,9 @@ void block_sandwich_chunk(const float* left, const float* in,
       }
     }
   }
-  GemmCounters delta;
-  delta.block_mac_calls = mac_local;
-  delta.axpy_calls = axpy_local;
-  add_gemm_counters(delta);
+  const KernelCounters& counters = kernel_counters();
+  counters.block_mac_calls.add(mac_local);
+  counters.axpy_calls.add(axpy_local);
 }
 
 }  // namespace

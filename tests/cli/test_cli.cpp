@@ -14,8 +14,10 @@
 
 #include "cli/archive.hpp"
 #include "cli/robustness_suite.hpp"
+#include "core/dct_chop.hpp"
 #include "io/error.hpp"
 #include "io/tensor_io.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
 #include "tensor/ops.hpp"
 
@@ -129,6 +131,61 @@ TEST(Cli, EvalReportsRateDistortion) {
   ASSERT_EQ(run({"eval", raw, "--cf", "4"}, &out), 0);
   EXPECT_NE(out.find("CR=4"), std::string::npos);
   EXPECT_NE(out.find("PSNR="), std::string::npos);
+}
+
+/// The `--stats` table row of `stem` (rows are "  <stem padded> k=v ...").
+std::string stats_row(const std::string& text, const std::string& stem) {
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  " + stem + " ", 0) == 0) return line + " ";
+  }
+  return "";
+}
+
+std::uint64_t row_value(const std::string& row, const std::string& key) {
+  const std::size_t at = row.find(" " + key + "=");
+  if (at == std::string::npos) return 0;
+  return std::stoull(row.substr(at + key.size() + 2));
+}
+
+TEST(Cli, StatsPrintsTheRegistryRowOfEachCodecStem) {
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string packed = dir.file("packed.aicz");
+  ASSERT_EQ(run({"gen", raw, "--batch", "2", "--channels", "3", "--res",
+                 "16"}),
+            0);
+  // The registry is process-wide; zero it so the rows count one command.
+  obs::Registry::global().reset();
+  std::string out;
+  ASSERT_EQ(run({"compress", raw, packed, "--stats"}, &out), 0);
+  const std::string compress = stats_row(out, "codec.compress");
+  ASSERT_FALSE(compress.empty()) << out;
+  EXPECT_EQ(row_value(compress, "calls"), 1u) << compress;
+  EXPECT_EQ(row_value(compress, "planes"), 6u) << compress;
+  EXPECT_EQ(row_value(compress, "flops"),
+            6u * core::DctChopCodec::flops_compress(16, 4))
+      << compress;
+  EXPECT_EQ(row_value(compress, "flops_executed"),
+            6u * core::DctChopCodec::flops_executed_hw(16, 16, 4))
+      << compress;
+  EXPECT_NE(compress.find(" seconds="), std::string::npos) << compress;
+  EXPECT_NE(out.find("  kernel["), std::string::npos) << out;
+  EXPECT_NE(out.find("  pool["), std::string::npos) << out;
+
+  obs::Registry::global().reset();
+  ASSERT_EQ(run({"decompress", packed, dir.file("r.aict"), "--stats"}, &out),
+            0);
+  const std::string decompress = stats_row(out, "codec.decompress");
+  EXPECT_EQ(row_value(decompress, "planes"), 6u) << out;
+  EXPECT_TRUE(stats_row(out, "codec.compress").empty()) << out;
+
+  obs::Registry::global().reset();
+  ASSERT_EQ(run({"eval", raw, "--codec", "sz:eb=1e-3", "--stats"}, &out), 0);
+  const std::string sz = stats_row(out, "sz.compress");
+  EXPECT_EQ(row_value(sz, "calls"), 1u) << out;
+  EXPECT_EQ(row_value(sz, "planes"), 6u) << out;
+  EXPECT_GT(row_value(sz, "bytes_out"), 0u) << out;
 }
 
 TEST(Cli, AlternativeTransformAccepted) {

@@ -126,14 +126,17 @@ TEST(CodecFactory, BaselineComparatorsRegisterAndRoundTrip) {
     EXPECT_EQ(make_codec(codec->spec())->spec(), codec->spec()) << spec;
   }
 
-  const auto& zfp =
-      dynamic_cast<const baseline::ZfpLikeCodec&>(*make_codec("zfp:rate=8"));
+  // The CodecPtrs are held in locals: a reference into a temporary
+  // CodecPtr dangles once the full expression ends.
+  const CodecPtr zfp_codec = make_codec("zfp:rate=8");
+  const auto& zfp = dynamic_cast<const baseline::ZfpLikeCodec&>(*zfp_codec);
   EXPECT_DOUBLE_EQ(zfp.compression_ratio(), 4.0);
-  const auto& sz = dynamic_cast<const baseline::SzComparatorCodec&>(
-      *make_codec("sz:eb=1e-3"));
+  const CodecPtr sz_codec = make_codec("sz:eb=1e-3");
+  const auto& sz = dynamic_cast<const baseline::SzComparatorCodec&>(*sz_codec);
   EXPECT_DOUBLE_EQ(sz.error_bound(), 1e-3);
-  const auto& jpeg = dynamic_cast<const baseline::JpegComparatorCodec&>(
-      *make_codec("jpeg:q=30,chroma=1"));
+  const CodecPtr jpeg_codec = make_codec("jpeg:q=30,chroma=1");
+  const auto& jpeg =
+      dynamic_cast<const baseline::JpegComparatorCodec&>(*jpeg_codec);
   EXPECT_EQ(jpeg.quality(), 30);
   EXPECT_TRUE(jpeg.chroma());
   EXPECT_NE(dynamic_cast<const baseline::ColorQuantCodec*>(

@@ -13,8 +13,8 @@
 #include "core/dct_chop.hpp"
 #include "core/partial_serializer.hpp"
 #include "core/triangle.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
-#include "tensor/gemm_kernels.hpp"
 
 namespace aic::core {
 namespace {
@@ -77,10 +77,12 @@ TEST(PlanOperands, ColdBuildHoldsOneTilePairAndRunsNoGemm) {
          {TransformKind::kDct2, TransformKind::kWalshHadamard,
           TransformKind::kDst2}) {
       PlanCache cold(/*byte_budget=*/0);
-      const std::uint64_t gemms = tensor::gemm_counters().gemm_calls;
+      obs::Counter& gemm_calls =
+          obs::Registry::global().counter("kernel.gemm_calls");
+      const std::uint64_t gemms = gemm_calls.value();
       const auto plan =
           cold.resolve(dct_chop_plan_key(c.h, c.w, c.cf, c.block, kind));
-      EXPECT_EQ(tensor::gemm_counters().gemm_calls, gemms);
+      EXPECT_EQ(gemm_calls.value(), gemms);
       EXPECT_EQ(plan->resident_bytes(), 2 * c.cf * c.block * sizeof(float))
           << c.h << "x" << c.w << " cf=" << c.cf;
     }
