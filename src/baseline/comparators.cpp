@@ -75,7 +75,7 @@ double achieved_ratio(const std::atomic<std::uint64_t>& bytes_in,
 SzComparatorCodec::SzComparatorCodec(double error_bound, Context ctx)
     : Codec(std::move(ctx)),
       inner_(error_bound),
-      compress_series_(ctx_, "sz.compress") {
+      compress_series_(ctx_, "sz.compress", /*counts_flops=*/false) {
   // Parameter-only plan: keeps baseline resolutions visible in
   // plan_cache.* metrics alongside the core kinds.
   (void)core::PlanCache::of(ctx_).resolve(
@@ -158,7 +158,7 @@ JpegComparatorCodec::JpegComparatorCodec(int quality, bool chroma, Context ctx)
     : Codec(std::move(ctx)),
       quality_(quality),
       chroma_(chroma),
-      compress_series_(ctx_, "jpeg.compress") {
+      compress_series_(ctx_, "jpeg.compress", /*counts_flops=*/false) {
   const core::PlanKey key = baseline_key(
       core::CodecKind::kJpeg,
       param_milli(static_cast<double>(quality)) + (chroma ? 1 : 0));

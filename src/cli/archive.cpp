@@ -12,7 +12,6 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -31,6 +30,7 @@
 #include "io/tensor_io.hpp"
 #include "obs/pipeline.hpp"
 #include "obs/trace.hpp"
+#include "runtime/aligned_buffer.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/context.hpp"
 #include "runtime/parallel_for.hpp"
@@ -225,11 +225,11 @@ void validate_payload_shape(const Shape& got, const Shape& expected) {
 /// and per-chunk staging are sized from it).
 constexpr std::uint64_t kMaxChunkBytes = std::uint64_t{1} << 30;
 
-/// Input bytes per transform step of the compress producer. Each step's
-/// packed bytes are chunked and encoded while the next step transforms,
-/// and the bound keeps the producer's staging (a step's input copy and
-/// its packed output) at about 1 MiB of input, or one plane if that is
-/// larger, whatever the tensor size.
+/// Input bytes per transform step of the compress producer (and output
+/// bytes per step of the streamed restore). Each step's packed bytes are
+/// chunked and encoded while the next step transforms, and the bound
+/// keeps the per-step buffers at about 1 MiB of planes, or one plane if
+/// that is larger, whatever the tensor size.
 /// The value trades memory for time. Measured on a 2-thread session
 /// (4-vCPU Xeon, AVX2, dctchop cf=4, raw chunks): 16x3x512² compresses
 /// in 43.7 ms at 1 MiB, 39.3 ms at 4 MiB and 29.0 ms as one step, and
@@ -258,6 +258,7 @@ EncodedChunk encode_one_chunk(std::string_view plain,
 }
 
 void write_or_throw(std::ostream& out, const char* data, std::size_t len) {
+  AIC_TRACE_SCOPE("io.write");
   out.write(data, static_cast<std::streamsize>(len));
   if (!out) throw std::runtime_error("archive: stream write failed");
 }
@@ -483,47 +484,6 @@ class ChunkPipeline {
   InFlightQueue in_flight_;
 };
 
-/// Per-context recycler for the whole-Tensor staging the compress
-/// producer churns through (plane groups and their packed outputs).
-/// Tensor owns its storage as a plain vector<float>, so recycling works
-/// at whole-tensor granularity: acquire() returns a cached tensor of
-/// exactly the requested shape when one exists (an empty one otherwise)
-/// and release() caches up to kMaxEntries tensors. Lives in
-/// Context::Slot::kArchiveScratch so steady-state compress calls on one
-/// session stop allocating plane staging.
-class ArchiveScratch {
- public:
-  static constexpr std::size_t kMaxEntries = 8;
-
-  Tensor acquire(const Shape& shape) {
-    std::lock_guard lock(mutex_);
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->shape() == shape) {
-        Tensor out = std::move(*it);
-        cache_.erase(it);
-        return out;
-      }
-    }
-    return Tensor();
-  }
-
-  void release(Tensor&& tensor) {
-    if (tensor.size_bytes() == 0) return;
-    std::lock_guard lock(mutex_);
-    if (cache_.size() < kMaxEntries) cache_.push_back(std::move(tensor));
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<Tensor> cache_;
-};
-
-std::shared_ptr<ArchiveScratch> archive_scratch(const Context& ctx) {
-  return std::static_pointer_cast<ArchiveScratch>(
-      ctx.slot(Context::Slot::kArchiveScratch,
-               [] { return std::make_shared<ArchiveScratch>(); }));
-}
-
 /// Fills every Archive field except `packed` from the codec the factory
 /// built for `codec_spec`. The archive header only represents the chop
 /// family; recover the parameters from the concrete codec instance.
@@ -581,58 +541,71 @@ std::size_t serialize_to(const Archive& archive,
   return pipeline.finish();
 }
 
-/// The compress producer: transforms `input` in plane groups of about
-/// kGroupInputBytes and appends each group's packed bytes to the
-/// pipeline, so the chunk encodes of one group overlap the transform of
-/// the next. A codec that does not treat planes independently transforms
-/// the whole tensor as one group.
-std::size_t compress_to(const Tensor& input, const std::string& codec_spec,
+/// Planes per transform step: about kGroupInputBytes of `plane_bytes`
+/// planes, at least one, at most all of them.
+std::size_t group_planes(std::size_t planes, std::size_t plane_bytes) {
+  if (plane_bytes == 0) return planes;
+  return std::max<std::size_t>(1,
+                               std::min(planes, kGroupInputBytes / plane_bytes));
+}
+
+/// The BCHW shape of a group of `g` planes of `shape`: the whole shape
+/// when the group is the whole tensor.
+Shape group_shape(const Shape& shape, std::size_t g) {
+  return g == shape[0] * shape[1] ? shape
+                                  : Shape::bchw(1, g, shape[2], shape[3]);
+}
+
+/// The compress producer's packed output of one plane group. It lives
+/// per thread and is reused across calls, the way the GEMM pack scratch
+/// is, so a warm compress allocates none, takes no lock and leaves the
+/// session's BufferPool to the chunk buffers.
+float* packed_scratch(std::size_t floats) {
+  thread_local runtime::AlignedBuffer<float> buffer;
+  if (buffer.size() < floats) buffer = runtime::AlignedBuffer<float>(floats);
+  return buffer.data();
+}
+
+/// The compress producer: transforms the BCHW floats at `input` in plane
+/// groups of about kGroupInputBytes, straight out of the caller's memory
+/// (a Tensor's storage or a mapped .aict), and appends each group's
+/// packed bytes to the pipeline, so the chunk encodes of one group
+/// overlap the transform of the next. A codec that does not treat planes
+/// independently transforms the whole tensor as one group.
+std::size_t compress_to(const float* input, const Shape& shape,
+                        const std::string& codec_spec,
                         const ArchiveWriteOptions& options,
                         core::CodecPtr* codec_out, const Context& ctx,
                         const ArchiveSink& sink) {
-  if (input.shape().rank() != 4) {
+  if (shape.rank() != 4) {
     throw std::invalid_argument("archive: input must be BCHW");
   }
   AIC_TRACE_SCOPE("pipeline.compress");
   runtime::Timer wall_timer;
   const core::CodecPtr codec = core::make_codec(codec_spec, ctx);
-  const Archive fields = classify_codec(*codec, codec_spec, input.shape());
+  const Archive fields = classify_codec(*codec, codec_spec, shape);
   if (codec_out != nullptr) *codec_out = codec;
 
-  const Shape& shape = input.shape();
   const Shape packed_shape = codec->compressed_shape(shape);
   const std::size_t planes = shape[0] * shape[1];
-  const std::size_t plane_bytes = shape[2] * shape[3] * sizeof(float);
-  const std::size_t group_planes =
-      plane_separable_codec(*codec, shape, packed_shape) && plane_bytes > 0
-          ? std::max<std::size_t>(
-                1, std::min(planes, kGroupInputBytes / plane_bytes))
+  const std::size_t plane_floats = shape[2] * shape[3];
+  const std::size_t step =
+      plane_separable_codec(*codec, shape, packed_shape)
+          ? group_planes(planes, plane_floats * sizeof(float))
           : planes;
 
   Context::PoolScope pool_scope(ctx);
-  const std::shared_ptr<ArchiveScratch> scratch = archive_scratch(ctx);
   ChunkPipeline pipeline(fields, packed_shape, options, ctx, sink);
   std::uint64_t transform_ns = 0;
-  for (std::size_t p0 = 0; p0 < planes; p0 += group_planes) {
-    const std::size_t g = std::min(group_planes, planes - p0);
-    const Shape group_shape =
-        g == planes ? shape : Shape::bchw(1, g, shape[2], shape[3]);
-    Tensor packed = scratch->acquire(codec->compressed_shape(group_shape));
+  for (std::size_t p0 = 0; p0 < planes; p0 += step) {
+    const std::size_t g = std::min(step, planes - p0);
+    const Shape group = group_shape(shape, g);
+    const std::size_t packed_floats = codec->compressed_shape(group).numel();
+    float* packed = packed_scratch(packed_floats);
     runtime::Timer timer;
-    if (g == planes) {
-      codec->compress_into(input, packed);
-    } else {
-      Tensor group = scratch->acquire(group_shape);
-      if (group.shape() != group_shape) group = Tensor(group_shape);
-      std::memcpy(group.raw(),
-                  reinterpret_cast<const char*>(input.raw()) + p0 * plane_bytes,
-                  g * plane_bytes);
-      codec->compress_into(group, packed);
-      scratch->release(std::move(group));
-    }
+    codec->compress_into(input + p0 * plane_floats, group, packed);
     transform_ns += timer.nanos();
-    pipeline.feed(packed.raw(), packed.size_bytes());
-    scratch->release(std::move(packed));
+    pipeline.feed(packed, packed_floats * sizeof(float));
   }
   const std::size_t written = pipeline.finish();
   obs::PipelineMetrics::global().record_overlap(
@@ -770,87 +743,133 @@ struct ChunkSource {
   std::function<std::string_view(std::uint64_t, std::uint64_t)> read;
 };
 
-/// The one v4 decode core. The leading chunks covering the serialized
-/// tensor header decode serially through a small pooled bounce buffer
-/// (the header must be parsed before the tensor exists; tensor_io's typed
-/// errors come before the archive-level shape check). Every remaining
-/// chunk then CRC-checks and entropy-decodes in parallel, batch by batch,
-/// directly into the tensor's storage — the payload never materializes
-/// as a separate heap string.
+/// The one v4 decode core: decodes the payload front to back into caller
+/// memory. The leading chunks covering the serialized tensor header
+/// decode serially (the header must be parsed, and tensor_io's typed
+/// errors come before the archive-level shape check); every later chunk
+/// CRC-checks and entropy-decodes in parallel, batch by batch, straight
+/// into the caller's storage — the payload never materializes as a
+/// separate heap string. Batches run in chunk order and the lowest
+/// failing chunk of a batch wins, so the first rejected chunk is the
+/// lowest failing one of the whole payload, however the caller splits
+/// the decode.
+class PayloadDecoder {
+ public:
+  PayloadDecoder(const V4Layout& layout, const ChunkSource& source)
+      : layout_(layout), source_(source) {
+    const std::size_t prefix = std::min<std::size_t>(
+        layout.payload_len, io::max_tensor_header_bytes());
+    next_ = (prefix + layout.chunk_bytes - 1) / layout.chunk_bytes;
+    prefix_bytes_ = std::min<std::size_t>(layout.payload_len,
+                                          next_ * layout.chunk_bytes);
+  }
+
+  /// Bytes read_header writes: the payload's leading whole chunks.
+  std::size_t prefix_bytes() const { return prefix_bytes_; }
+
+  /// Decodes the leading chunks into `dest` (prefix_bytes() bytes), then
+  /// parses the tensor header they hold and checks its shape against the
+  /// one the header codec promises.
+  io::TensorHeaderInfo read_header(char* dest) {
+    const std::string_view run = read_run(0, next_);
+    for (std::size_t i = 0; i < next_; ++i) {
+      decode_one_chunk(layout_, i, chunk_in(run, 0, i),
+                       dest + i * layout_.chunk_bytes);
+    }
+    const io::TensorHeaderInfo info = io::parse_tensor_header(
+        std::string_view(dest, prefix_bytes_), layout_.payload_len);
+    validate_payload_shape(info.shape, layout_.expected_shape);
+    return info;
+  }
+
+  /// Payload bytes decoded so far (read_header's included).
+  std::uint64_t decoded() const {
+    return std::min<std::uint64_t>(layout_.payload_len,
+                                   next_ * layout_.chunk_bytes);
+  }
+
+  /// Decodes every remaining chunk up to the one holding payload byte
+  /// `end - 1`. Payload byte x lands at dest[x - dest_offset].
+  void decode_through(std::uint64_t end, char* dest,
+                      std::uint64_t dest_offset) {
+    const std::size_t chunk_bytes = layout_.chunk_bytes;
+    const std::size_t stop = static_cast<std::size_t>(
+        std::min<std::uint64_t>(layout_.chunk_count,
+                                (end + chunk_bytes - 1) / chunk_bytes));
+    while (next_ < stop) {
+      const std::size_t first = next_;
+      std::size_t last = first + 1;
+      std::uint64_t batch = layout_.table[first].encoded_len;
+      while (last < stop &&
+             batch + layout_.table[last].encoded_len <= source_.batch_bytes) {
+        batch += layout_.table[last++].encoded_len;
+      }
+      const std::string_view run = read_run(first, last);
+      // A rejected chunk's error comes back to this thread as a copy, not
+      // through the pool's exception_ptr, whose uninstrumented refcount
+      // ThreadSanitizer reports as a race; the lowest failing index wins.
+      std::vector<std::optional<io::CorruptStream>> rejected(last - first);
+      runtime::parallel_for(
+          first, last,
+          [&](std::size_t i) {
+            try {
+              decode_one_chunk(layout_, i, chunk_in(run, first, i),
+                               dest + (i * chunk_bytes - dest_offset));
+            } catch (const io::CorruptStream& error) {
+              rejected[i - first] = error;
+            }
+          },
+          {.grain = 1});
+      for (const std::optional<io::CorruptStream>& error : rejected) {
+        if (error) throw *error;
+      }
+      next_ = last;
+    }
+  }
+
+ private:
+  std::string_view chunk_in(std::string_view run, std::size_t first,
+                            std::size_t i) const {
+    const ChunkEntry& entry = layout_.table[i];
+    return run.substr(entry.offset - layout_.table[first].offset,
+                      entry.encoded_len);
+  }
+
+  std::string_view read_run(std::size_t first, std::size_t last) const {
+    const std::uint64_t end = last < layout_.chunk_count
+                                  ? layout_.table[last].offset
+                                  : layout_.encoded_total;
+    return source_.read(layout_.table[first].offset,
+                        end - layout_.table[first].offset);
+  }
+
+  const V4Layout& layout_;
+  const ChunkSource& source_;
+  std::size_t next_ = 0;  // first chunk not yet decoded
+  std::size_t prefix_bytes_ = 0;
+};
+
+/// Decodes a whole v4 payload into the archive's packed tensor.
 Archive decode_v4(V4Layout&& layout, const ChunkSource& source,
                   const Context& ctx) {
   AIC_TRACE_SCOPE("pipeline.decode_v4");
   Context::PoolScope pool_scope(ctx);
-  const std::size_t chunk_bytes = layout.chunk_bytes;
-  const std::size_t chunk_count = layout.chunk_count;
-  const auto chunk_in = [&](std::string_view run, std::size_t first,
-                            std::size_t i) {
-    const ChunkEntry& entry = layout.table[i];
-    return run.substr(entry.offset - layout.table[first].offset,
-                      entry.encoded_len);
-  };
-  const auto read_run = [&](std::size_t first, std::size_t last) {
-    const std::uint64_t end =
-        last < chunk_count ? layout.table[last].offset : layout.encoded_total;
-    return source.read(layout.table[first].offset,
-                       end - layout.table[first].offset);
-  };
-
-  const std::size_t prefix_len = std::min<std::size_t>(
-      layout.payload_len, io::max_tensor_header_bytes());
-  const std::size_t prefix_chunks =
-      (prefix_len + chunk_bytes - 1) / chunk_bytes;
-  const std::size_t bounce_len = std::min<std::size_t>(
-      layout.payload_len, prefix_chunks * chunk_bytes);
-  std::size_t header_bytes = 0;
+  PayloadDecoder decoder(layout, source);
   Tensor packed;
+  std::size_t header_bytes = 0;
   {
-    runtime::BufferPool::Buffer bounce = ctx.buffer_pool().acquire(bounce_len);
-    const std::string_view run = read_run(0, prefix_chunks);
-    for (std::size_t i = 0; i < prefix_chunks; ++i) {
-      decode_one_chunk(layout, i, chunk_in(run, 0, i),
-                       bounce.data() + i * chunk_bytes);
-    }
-    const io::TensorHeaderInfo info = io::parse_tensor_header(
-        std::string_view(bounce.data(), bounce_len), layout.payload_len);
-    validate_payload_shape(info.shape, layout.expected_shape);
+    runtime::BufferPool::Buffer bounce =
+        ctx.buffer_pool().acquire(decoder.prefix_bytes());
+    const io::TensorHeaderInfo info = decoder.read_header(bounce.data());
     packed = Tensor(info.shape);
     header_bytes = info.header_bytes;
     std::memcpy(packed.raw(), bounce.data() + header_bytes,
-                bounce_len - header_bytes);
+                decoder.prefix_bytes() - header_bytes);
   }
-
-  char* tensor_bytes = reinterpret_cast<char*>(packed.raw());
-  for (std::size_t first = prefix_chunks; first < chunk_count;) {
-    std::size_t last = first + 1;
-    std::uint64_t batch = layout.table[first].encoded_len;
-    while (last < chunk_count &&
-           batch + layout.table[last].encoded_len <= source.batch_bytes) {
-      batch += layout.table[last++].encoded_len;
-    }
-    const std::string_view run = read_run(first, last);
-    // A rejected chunk's error comes back to this thread as a copy, not
-    // through the pool's exception_ptr, whose uninstrumented refcount
-    // ThreadSanitizer reports as a race; the lowest failing index wins.
-    std::vector<std::optional<io::CorruptStream>> rejected(last - first);
-    runtime::parallel_for(
-        first, last,
-        [&](std::size_t i) {
-          try {
-            decode_one_chunk(layout, i, chunk_in(run, first, i),
-                             tensor_bytes + (i * chunk_bytes - header_bytes));
-          } catch (const io::CorruptStream& error) {
-            rejected[i - first] = error;
-          }
-        },
-        {.grain = 1});
-    for (const std::optional<io::CorruptStream>& error : rejected) {
-      if (error) throw *error;
-    }
-    first = last;
-  }
-  obs::PipelineMetrics::global().record_archive_layout(chunk_bytes,
-                                                       chunk_count);
+  decoder.decode_through(layout.payload_len,
+                         reinterpret_cast<char*>(packed.raw()), header_bytes);
+  obs::PipelineMetrics::global().record_archive_layout(layout.chunk_bytes,
+                                                       layout.chunk_count);
   layout.archive.packed = std::move(packed);
   return std::move(layout.archive);
 }
@@ -903,6 +922,127 @@ Archive deserialize_legacy(io::ByteReader& reader, std::uint32_t version,
                     " encoded bytes, stream has " + std::to_string(have));
 }
 
+/// The restore side of a streamed decode: builds the codec the archive
+/// header describes, writes the io::save_tensor header of the original
+/// shape to `out` (none when null), then restores plane groups in order
+/// into two recycled output buffers. A group's write runs on the pool
+/// while the next group decodes and transforms into the other buffer.
+/// `next_group(g)` returns the packed floats of the next `g` planes. The
+/// archive family treats planes independently, so the groups restore to
+/// the bytes of one whole-tensor decompress.
+RestoredArchive restore_groups(
+    const Archive& archive, const Shape& packed_shape, std::ostream* out,
+    const Context& ctx,
+    const std::function<const float*(std::size_t)>& next_group) {
+  const core::CodecPtr codec = make_archive_codec(archive, ctx);
+  const Shape& original = archive.original_shape;
+  const std::size_t planes = original[0] * original[1];
+  const std::size_t plane_bytes = original[2] * original[3] * sizeof(float);
+  const std::size_t step = group_planes(planes, plane_bytes);
+  runtime::BufferPool::Buffer restored[2] = {
+      ctx.buffer_pool().acquire(step * plane_bytes),
+      ctx.buffer_pool().acquire(step * plane_bytes)};
+  if (out != nullptr) {
+    const std::string header = io::serialize_tensor_header(original);
+    write_or_throw(*out, header.data(), header.size());
+  }
+  // The pending write reports failure as `false` rather than through the
+  // future's exception_ptr, whose refcount ThreadSanitizer cannot see.
+  std::future<bool> written;
+  const auto wait_written = [&written] {
+    if (written.valid() && !written.get()) {
+      throw std::runtime_error("archive: stream write failed");
+    }
+  };
+  try {
+    for (std::size_t p0 = 0, k = 0; p0 < planes; p0 += step, ++k) {
+      const std::size_t g = std::min(step, planes - p0);
+      char* buffer = restored[k % 2].data();
+      codec->decompress_into(next_group(g), group_shape(original, g),
+                             reinterpret_cast<float*>(buffer));
+      if (out == nullptr) continue;
+      wait_written();  // frees the buffer the next group restores into
+      written = ctx.pool().submit([out, buffer, len = g * plane_bytes] {
+        try {
+          write_or_throw(*out, buffer, len);
+          return true;
+        } catch (const std::runtime_error&) {
+          return false;
+        }
+      });
+    }
+    wait_written();
+  } catch (...) {
+    // No buffer goes back to the pool while a worker still writes it.
+    if (written.valid()) written.wait();
+    throw;
+  }
+  return {codec, original, packed_shape};
+}
+
+/// Streams a whole v4 payload through restore_groups: chunk batches
+/// decode in order into one recycled packed window, and each group
+/// restores as soon as its chunks are in. The window holds one group's
+/// packed bytes plus the chunk tails around them; the pinned codec is
+/// built only after the tensor header and payload shape have validated.
+RestoredArchive restore_v4(V4Layout&& layout, const ChunkSource& source,
+                           std::ostream* out, const Context& ctx) {
+  AIC_TRACE_SCOPE("pipeline.restore_v4");
+  Context::PoolScope pool_scope(ctx);
+  PayloadDecoder decoder(layout, source);
+  const Shape& original = layout.archive.original_shape;
+  const std::size_t packed_plane_bytes =
+      layout.expected_shape[2] * layout.expected_shape[3] * sizeof(float);
+  const std::size_t step = group_planes(
+      original[0] * original[1], original[2] * original[3] * sizeof(float));
+  runtime::BufferPool::Buffer window =
+      ctx.buffer_pool().acquire(static_cast<std::size_t>(
+          std::min<std::uint64_t>(layout.payload_len,
+                                  io::max_tensor_header_bytes() +
+                                      step * packed_plane_bytes +
+                                      layout.chunk_bytes)));
+  std::uint64_t base = 0;  // payload offset of window.data()[0]
+  std::uint64_t start = decoder.read_header(window.data()).header_bytes;
+  const RestoredArchive restored = restore_groups(
+      layout.archive, layout.expected_shape, out, ctx, [&](std::size_t g) {
+        const std::uint64_t end = start + g * packed_plane_bytes;
+        if (decoder.decoded() < end) {
+          // The group's decoded head moves to the window front (at most
+          // one chunk's tail), and its remaining chunks decode behind it.
+          std::memmove(window.data(), window.data() + (start - base),
+                       static_cast<std::size_t>(decoder.decoded() - start));
+          base = start;
+          decoder.decode_through(end, window.data(), base);
+        }
+        const char* group = window.data() + (start - base);
+        start = end;
+        return reinterpret_cast<const float*>(group);
+      });
+  obs::PipelineMetrics::global().record_archive_layout(layout.chunk_bytes,
+                                                       layout.chunk_count);
+  return restored;
+}
+
+/// Reads a v4 container held whole in `reader` (after its prologue):
+/// the validated layout, and a source over its encoded chunks.
+std::pair<V4Layout, ChunkSource> open_v4(io::ByteReader& reader,
+                                         const Context& ctx) {
+  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
+  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
+  const std::string_view header =
+      reader.read_bytes(header_len, "header fields");
+  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
+  const std::string_view encoded = reader.rest();
+  if (encoded.size() != layout.encoded_total) {
+    raise_encoded_size(layout.encoded_total, encoded.size());
+  }
+  return {std::move(layout),
+          ChunkSource{std::numeric_limits<std::uint64_t>::max(),
+                      [encoded](std::uint64_t offset, std::uint64_t len) {
+                        return encoded.substr(offset, len);
+                      }}};
+}
+
 }  // namespace
 
 std::string archive_codec_spec(const Archive& archive) {
@@ -946,7 +1086,8 @@ void compress_to_archive_bytes(const Tensor& input,
                                const ArchiveWriteOptions& options,
                                core::CodecPtr* codec_out, const Context& ctx,
                                std::string& out) {
-  compress_to(input, codec_spec, options, codec_out, ctx, string_sink(out));
+  compress_to(input.raw(), input.shape(), codec_spec, options, codec_out, ctx,
+              string_sink(out));
 }
 
 std::string compress_to_archive_bytes(const Tensor& input,
@@ -964,8 +1105,17 @@ std::size_t compress_to_stream(const Tensor& input,
                                std::ostream& out,
                                const ArchiveWriteOptions& options,
                                core::CodecPtr* codec_out, const Context& ctx) {
+  return compress_to_stream(input.raw(), input.shape(), codec_spec, out,
+                            options, codec_out, ctx);
+}
+
+std::size_t compress_to_stream(const float* data, const Shape& input,
+                               const std::string& codec_spec,
+                               std::ostream& out,
+                               const ArchiveWriteOptions& options,
+                               core::CodecPtr* codec_out, const Context& ctx) {
   return write_to_stream(out, [&](const ArchiveSink& sink) {
-    return compress_to(input, codec_spec, options, codec_out, ctx, sink);
+    return compress_to(data, input, codec_spec, options, codec_out, ctx, sink);
   });
 }
 
@@ -973,22 +1123,28 @@ Archive deserialize_archive(std::string_view bytes, const Context& ctx) {
   io::ByteReader reader(bytes, "archive");
   const std::uint32_t version = read_prologue(reader);
   if (version != 4) return deserialize_legacy(reader, version, ctx);
-
-  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
-  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
-  const std::string_view header =
-      reader.read_bytes(header_len, "header fields");
-  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
-  const std::string_view encoded = reader.rest();
-  if (encoded.size() != layout.encoded_total) {
-    raise_encoded_size(layout.encoded_total, encoded.size());
-  }
-  const ChunkSource view{
-      std::numeric_limits<std::uint64_t>::max(),
-      [encoded](std::uint64_t offset, std::uint64_t len) {
-        return encoded.substr(offset, len);
-      }};
+  auto [layout, view] = open_v4(reader, ctx);
   return decode_v4(std::move(layout), view, ctx);
+}
+
+RestoredArchive restore_archive(std::string_view bytes, std::ostream* out,
+                                const Context& ctx) {
+  io::ByteReader reader(bytes, "archive");
+  const std::uint32_t version = read_prologue(reader);
+  if (version == 4) {
+    auto [layout, view] = open_v4(reader, ctx);
+    return restore_v4(std::move(layout), view, out, ctx);
+  }
+  // v2/v3 hold one unchunked payload: it decodes whole, then restores
+  // group by group like v4.
+  const Archive archive = deserialize_legacy(reader, version, ctx);
+  const Shape& packed = archive.packed.shape();
+  const float* next = archive.packed.raw();
+  return restore_groups(archive, packed, out, ctx, [&](std::size_t g) {
+    const float* group = next;
+    next += g * packed[2] * packed[3];
+    return group;
+  });
 }
 
 Archive decompress_from_stream(std::istream& in, const Context& ctx) {

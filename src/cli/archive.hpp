@@ -149,6 +149,17 @@ std::size_t compress_to_stream(const tensor::Tensor& input,
                                core::CodecPtr* codec_out = nullptr,
                                const Context& ctx = Context::process_default());
 
+/// The same write over caller memory: `input` is the BCHW shape of the
+/// floats at `data`, which need only float alignment. aicomp compress
+/// passes the data of a mapped .aict, so plane groups transform straight
+/// out of the mapping and no input Tensor exists.
+std::size_t compress_to_stream(const float* data, const tensor::Shape& input,
+                               const std::string& codec_spec,
+                               std::ostream& out,
+                               const ArchiveWriteOptions& options = {},
+                               core::CodecPtr* codec_out = nullptr,
+                               const Context& ctx = Context::process_default());
+
 /// Bounded-memory streaming read: validates and decodes an archive from
 /// `in` with the same typed CorruptStream rejections as
 /// deserialize_archive, through the same v4 decode core. Chunks are read
@@ -174,6 +185,34 @@ Archive decompress_from_stream(std::istream& in,
 /// an intermediate heap string.
 Archive deserialize_archive(std::string_view bytes,
                             const Context& ctx = Context::process_default());
+
+/// What restore_archive restored.
+struct RestoredArchive {
+  core::CodecPtr codec;           // built from the header, pinned
+  tensor::Shape original_shape;   // BCHW
+  tensor::Shape packed_shape;
+};
+
+/// Bounded-memory restore of an archive held whole in `bytes` (an owned
+/// string or an io::MappedFile view), with the typed CorruptStream
+/// rejections of deserialize_archive. v4 chunk batches decode in order
+/// into one recycled packed window, and each complete plane group (about
+/// 1 MiB of restored planes) transforms into one of two recycled output
+/// buffers, so neither the whole packed tensor nor the whole restored
+/// tensor exists. The container, the tensor header and the payload shape
+/// are validated before the first output byte; `out` then receives the
+/// restored tensor in the io::save_tensor format, group by group, each
+/// group's write running on `ctx`'s pool while the next group restores
+/// (`out` must not be written by anyone else meanwhile). The
+/// bytes equal io::serialize_tensor of
+/// make_archive_codec(a)->decompress(a.packed, a.original_shape) for
+/// a = deserialize_archive(bytes), for every pool size. A null `out`
+/// decodes and transforms everything and writes nothing (aicomp verify).
+/// A chunk rejected after the first group throws with earlier groups
+/// already written; the caller discards that partial output.
+RestoredArchive restore_archive(std::string_view bytes, std::ostream* out,
+                                const Context& ctx =
+                                    Context::process_default());
 
 /// Cheap header-only introspection (no payload decode; CRC on the
 /// header is still enforced for v3/v4). chunk_count == 0 means an

@@ -588,12 +588,27 @@ ArchiveWriteOptions archive_write_options(const Options& options) {
   return write;
 }
 
+/// Maps (or, for pipes, reads) a command's input file.
+io::MappedFile map_input(const std::string& path) {
+  AIC_TRACE_SCOPE("io.map");
+  return io::MappedFile(path);
+}
+
 int cmd_compress(const Options& options, std::ostream& out,
                  const Context& ctx) {
+  AIC_TRACE_SCOPE("cli.compress");
   if (options.positional.size() != 2) {
     throw std::invalid_argument("compress: expected <in.aict> <out.aicz>");
   }
-  const Tensor input = io::load_tensor(options.positional[0]);
+  const io::MappedFile input = map_input(options.positional[0]);
+  const io::TensorHeaderInfo info = [&] {
+    AIC_TRACE_SCOPE("io.parse_tensor_header");
+    return io::parse_tensor_header(input.view(), input.size());
+  }();
+  // The f32 data follows the header: 4-byte aligned in the mapping, which
+  // is all the codec needs, so plane groups transform straight out of it.
+  const float* data =
+      reinterpret_cast<const float*>(input.view().data() + info.header_bytes);
   // Flag errors surface before the output is opened (and truncated).
   const std::string spec = codec_spec(options);
   const ArchiveWriteOptions write_options = archive_write_options(options);
@@ -604,47 +619,51 @@ int cmd_compress(const Options& options, std::ostream& out,
   // never exists whole in memory. A non-seekable output (a pipe) gets
   // the same pipeline into a string plus one write; the bytes match.
   write_output(options.positional[1], "compress", [&](std::ostream& file) {
-    archive_bytes =
-        compress_to_stream(input, spec, file, write_options, &codec, ctx);
+    archive_bytes = compress_to_stream(data, info.shape, spec, file,
+                                       write_options, &codec, ctx);
   });
-  out << codec->name() << ": " << input.size_bytes() << " -> " << archive_bytes
-      << " archive bytes (CR " << codec->compression_ratio() << ")\n";
+  out << codec->name() << ": " << info.payload_bytes << " -> "
+      << archive_bytes << " archive bytes (CR " << codec->compression_ratio()
+      << ")\n";
   return 0;
 }
 
 int cmd_decompress(const Options& options, std::ostream& out,
                    const Context& ctx) {
+  AIC_TRACE_SCOPE("cli.decompress");
   if (options.positional.size() != 2) {
     throw std::invalid_argument("decompress: expected <in.aicz> <out.aict>");
   }
-  const Archive archive = load_archive(options.positional[0], ctx);
-  const core::CodecPtr codec = make_archive_codec(archive, ctx);
-  const Tensor restored =
-      codec->decompress(archive.packed, archive.original_shape);
-  write_output(options.positional[1], "decompress",
-               [&](std::ostream& file) { io::write_tensor(restored, file); });
-  out << "restored " << restored.shape().to_string() << " to "
-      << options.positional[1] << " (" << codec->name() << ")\n";
+  const io::MappedFile archive = map_input(options.positional[0]);
+  // Plane groups are restored and written one at a time; a corrupt chunk
+  // found after the first group removes the partial output.
+  RestoredArchive restored;
+  write_output(options.positional[1], "decompress", [&](std::ostream& file) {
+    restored = restore_archive(archive.view(), &file, ctx);
+  });
+  out << "restored " << restored.original_shape.to_string() << " to "
+      << options.positional[1] << " (" << restored.codec->name() << ")\n";
   return 0;
 }
 
-///// `aicomp verify <archive>`: full integrity pass over an archive —
-/// container parse (v3 CRC32C checks included), codec rebuild, and a
-/// complete decompress — without writing anything. A corrupt file exits
-/// 1 with the typed CorruptStream diagnostic on stderr.
+/// `aicomp verify <archive>`: full integrity pass over an archive —
+/// container parse (CRC checks included), codec rebuild, and a complete
+/// decompress, plane group by plane group — without writing anything. A
+/// corrupt file exits 1 with the typed CorruptStream diagnostic on
+/// stderr.
 int cmd_verify(const Options& options, std::ostream& out,
                const Context& ctx) {
+  AIC_TRACE_SCOPE("cli.verify");
   if (options.positional.size() != 1) {
     throw std::invalid_argument("verify: expected one archive path");
   }
-  const Archive archive = load_archive(options.positional[0], ctx);
-  const core::CodecPtr codec = make_archive_codec(archive, ctx);
-  const Tensor restored =
-      codec->decompress(archive.packed, archive.original_shape);
-  out << "ok: codec=" << codec->name()
-      << " original=" << archive.original_shape.to_string()
-      << " packed=" << archive.packed.shape().to_string() << " ("
-      << archive.packed.size_bytes() << " bytes)\n";
+  const io::MappedFile archive = map_input(options.positional[0]);
+  const RestoredArchive restored =
+      restore_archive(archive.view(), nullptr, ctx);
+  out << "ok: codec=" << restored.codec->name()
+      << " original=" << restored.original_shape.to_string()
+      << " packed=" << restored.packed_shape.to_string() << " ("
+      << restored.packed_shape.numel() * sizeof(float) << " bytes)\n";
   return 0;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "runtime/context.hpp"
@@ -12,28 +13,29 @@
 
 namespace aic::core {
 
-/// The registry series one codec direction records into, resolved once
-/// (at codec construction) under the context's metric prefix. For stem
-/// `codec.compress` they are the histogram `codec.compress.ns` (count =
-/// calls, sum = wall nanoseconds) and the counters
-/// `codec.compress.planes`, `.flops` (the dense Eq. 5/7 count),
-/// `.flops_executed` (what the block kernel issues), `.bytes_in` and
-/// `.bytes_out`. Recording is lock-free.
+/// The registry series one codec direction records into, under the
+/// context's metric prefix. For stem `codec.compress` they are the
+/// histogram `codec.compress.ns` (count = calls, sum = wall nanoseconds)
+/// and the counters `codec.compress.planes`, `.flops` (the dense Eq. 5/7
+/// count), `.flops_executed` (what the block kernel issues), `.bytes_in`
+/// and `.bytes_out`. A context resolves each stem's series once: later
+/// codecs of the stem reuse the handles without a registry lookup.
+/// `counts_flops` false leaves out the two FLOP counters (the baseline
+/// comparators count none); a stem is one or the other. Recording is
+/// lock-free.
 class CodecSeries {
  public:
-  CodecSeries(const Context& ctx, const std::string& stem);
+  CodecSeries(const Context& ctx, std::string_view stem,
+              bool counts_flops = true);
 
   void record(std::uint64_t planes, std::uint64_t flops,
               std::uint64_t flops_executed, std::uint64_t bytes_in,
               std::uint64_t bytes_out, std::uint64_t nanos) const noexcept;
 
+  struct Instruments;
+
  private:
-  obs::Histogram& ns_;
-  obs::Counter& planes_;
-  obs::Counter& flops_;
-  obs::Counter& flops_executed_;
-  obs::Counter& bytes_in_;
-  obs::Counter& bytes_out_;
+  const Instruments& series_;
 };
 
 /// A fixed-rate lossy codec over BCHW tensors.
@@ -84,6 +86,20 @@ class Codec {
                                tensor::Tensor& out) const {
     out = decompress(packed, original);
   }
+
+  /// Plane-range variants over caller memory: `input` is the BCHW shape
+  /// of the floats at `in`, which need only float alignment (a mapped
+  /// file's data may start at any 4-byte offset), and `out` receives the
+  /// compressed_shape(input) floats. The archive family (DCT+Chop,
+  /// triangle, partial) transforms straight between the two spans, and
+  /// its Tensor calls adapt to these; other codecs throw
+  /// std::logic_error. decompress_into trusts `packed` to hold
+  /// compressed_shape(original) floats.
+  virtual void compress_into(const float* in, const tensor::Shape& input,
+                             float* out) const;
+  virtual void decompress_into(const float* packed,
+                               const tensor::Shape& original,
+                               float* out) const;
 
   /// Convenience: compress immediately followed by decompress, the
   /// transformation the paper applies to every training batch (§4.1).

@@ -98,23 +98,28 @@ Tensor DctChopCodec::compress(const Tensor& input) const {
 }
 
 void DctChopCodec::compress_into(const Tensor& input, Tensor& out) const {
+  const Shape packed_shape = compressed_shape(input.shape());
+  if (out.shape() != packed_shape) out = Tensor(packed_shape);
+  compress_into(input.raw(), input.shape(), out.raw());
+}
+
+void DctChopCodec::compress_into(const float* in, const Shape& input,
+                                 float* out) const {
   AIC_TRACE_SCOPE("codec.compress");
   // Route the plan executor's parallel_for (and nested gemms) onto this
   // codec's session pool.
   Context::PoolScope pool_scope(ctx_);
   runtime::Timer timer;
-  const Shape packed_shape = compressed_shape(input.shape());
-  if (out.shape() != packed_shape) out = Tensor(packed_shape);
-  const std::shared_ptr<const DctChopPlan> plan =
-      plan_for(input.shape()[2], input.shape()[3]);
-  plan->compress_into(input, out);
-  const std::size_t planes = input.shape()[0] * input.shape()[1];
-  const std::size_t h = input.shape()[2];
-  const std::size_t w = input.shape()[3];
+  const Shape packed_shape = compressed_shape(input);
+  const std::size_t planes = input[0] * input[1];
+  const std::size_t h = input[2];
+  const std::size_t w = input[3];
+  plan_for(h, w)->compress_into(in, out, planes);
   compress_series_.record(
       planes, planes * flops_compress_hw(h, w, config_.cf, config_.block),
       planes * flops_executed_hw(h, w, config_.cf, config_.block),
-      input.size_bytes(), out.size_bytes(), timer.nanos());
+      input.numel() * sizeof(float), packed_shape.numel() * sizeof(float),
+      timer.nanos());
 }
 
 Tensor DctChopCodec::decompress(const Tensor& packed,
@@ -126,9 +131,6 @@ Tensor DctChopCodec::decompress(const Tensor& packed,
 
 void DctChopCodec::decompress_into(const Tensor& packed,
                                    const Shape& original, Tensor& out) const {
-  AIC_TRACE_SCOPE("codec.decompress");
-  Context::PoolScope pool_scope(ctx_);
-  runtime::Timer timer;
   if (packed.shape() != compressed_shape(original)) {
     // The packed tensor is decode-side input (it may come straight from
     // an archive), so a mismatch is a data error, not a caller bug.
@@ -138,17 +140,25 @@ void DctChopCodec::decompress_into(const Tensor& packed,
                           compressed_shape(original).to_string() + " for " +
                           original.to_string());
   }
-  const std::shared_ptr<const DctChopPlan> plan =
-      plan_for(original[2], original[3]);
   if (out.shape() != original) out = Tensor(original);
-  plan->decompress_into(packed, out);
+  decompress_into(packed.raw(), original, out.raw());
+}
+
+void DctChopCodec::decompress_into(const float* packed, const Shape& original,
+                                   float* out) const {
+  AIC_TRACE_SCOPE("codec.decompress");
+  Context::PoolScope pool_scope(ctx_);
+  runtime::Timer timer;
+  const Shape packed_shape = compressed_shape(original);
   const std::size_t planes = original[0] * original[1];
   const std::size_t h = original[2];
   const std::size_t w = original[3];
+  plan_for(h, w)->decompress_into(packed, out, planes);
   decompress_series_.record(
       planes, planes * flops_decompress_hw(h, w, config_.cf, config_.block),
       planes * flops_executed_hw(h, w, config_.cf, config_.block),
-      packed.size_bytes(), out.size_bytes(), timer.nanos());
+      packed_shape.numel() * sizeof(float), original.numel() * sizeof(float),
+      timer.nanos());
 }
 
 std::size_t DctChopCodec::flops_compress(std::size_t n, std::size_t cf,

@@ -55,12 +55,17 @@ class DctChopCodec final : public Codec {
   tensor::Tensor decompress(const tensor::Tensor& packed,
                             const tensor::Shape& original) const override;
   /// Zero-allocation variants when `out` already has the right shape:
-  /// the plan executes straight into its storage.
+  /// adapters over the plane-range calls below.
   void compress_into(const tensor::Tensor& input,
                      tensor::Tensor& out) const override;
   void decompress_into(const tensor::Tensor& packed,
                        const tensor::Shape& original,
                        tensor::Tensor& out) const override;
+  /// The plan executes straight between the caller's spans.
+  void compress_into(const float* in, const tensor::Shape& input,
+                     float* out) const override;
+  void decompress_into(const float* packed, const tensor::Shape& original,
+                       float* out) const override;
 
   const DctChopConfig& config() const { return config_; }
   /// True when the codec is pinned to one resolution.

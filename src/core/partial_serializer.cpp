@@ -18,24 +18,17 @@ using tensor::Tensor;
 
 namespace {
 
-/// Copies an aligned sub-window between two BCHW tensors row by row
-/// (rows are contiguous in W, so each is one memcpy).
-///
-/// For every (batch, channel) plane, the `rows`×`cols` window at
-/// (src_h, src_w) of `src` lands at (dst_h, dst_w) of `dst`.
-void copy_window(const Tensor& src, std::size_t src_h, std::size_t src_w,
-                 Tensor& dst, std::size_t dst_h, std::size_t dst_w,
-                 std::size_t rows, std::size_t cols) {
-  const std::size_t planes = src.shape()[0] * src.shape()[1];
-  const std::size_t src_stride = src.shape()[3];
-  const std::size_t dst_stride = dst.shape()[3];
-  const std::size_t src_plane = src.shape()[2] * src_stride;
-  const std::size_t dst_plane = dst.shape()[2] * dst_stride;
-  const float* from = src.raw() + src_h * src_stride + src_w;
-  float* to = dst.raw() + dst_h * dst_stride + dst_w;
+/// Copies a `rows`×`cols` window out of every one of `planes` planes:
+/// `src` and `dst` point at the window's first element in plane 0, rows
+/// are `*_stride` floats apart and planes `*_plane` floats apart (rows
+/// are contiguous, so each is one memcpy).
+void copy_window(std::size_t planes, std::size_t rows, std::size_t cols,
+                 const float* src, std::size_t src_stride,
+                 std::size_t src_plane, float* dst, std::size_t dst_stride,
+                 std::size_t dst_plane) {
   for (std::size_t plane = 0; plane < planes; ++plane) {
-    const float* from_row = from + plane * src_plane;
-    float* to_row = to + plane * dst_plane;
+    const float* from_row = src + plane * src_plane;
+    float* to_row = dst + plane * dst_plane;
     for (std::size_t r = 0; r < rows; ++r) {
       std::memcpy(to_row, from_row, cols * sizeof(float));
       from_row += src_stride;
@@ -134,17 +127,29 @@ Shape PartialSerialCodec::compressed_shape(const Shape& input) const {
 }
 
 Tensor PartialSerialCodec::compress(const Tensor& input) const {
+  Tensor out(compressed_shape(input.shape()));
+  compress_into(input.raw(), input.shape(), out.raw());
+  return out;
+}
+
+void PartialSerialCodec::compress_into(const float* in, const Shape& input,
+                                       float* out) const {
   AIC_TRACE_SCOPE("ps.compress");
   Context::PoolScope pool_scope(ctx_);
   runtime::Timer timer;
-  Tensor out(compressed_shape(input.shape()));
-  const std::size_t batch = input.shape()[0];
-  const std::size_t channels = input.shape()[1];
+  const Shape packed_shape = compressed_shape(input);
+  const std::size_t batch = input[0];
+  const std::size_t channels = input[1];
+  const std::size_t planes = batch * channels;
+  const std::size_t h = input[2];
+  const std::size_t w = input[3];
+  const std::size_t ch = packed_shape[2];
+  const std::size_t cw = packed_shape[3];
   const std::size_t s = config_.subdivision;
-  const std::size_t chunk_h = input.shape()[2] / s;
-  const std::size_t chunk_w = input.shape()[3] / s;
-  const std::size_t chunk_ch = config_.cf * chunk_h / config_.block;
-  const std::size_t chunk_cw = config_.cf * chunk_w / config_.block;
+  const std::size_t chunk_h = h / s;
+  const std::size_t chunk_w = w / s;
+  const std::size_t chunk_ch = ch / s;
+  const std::size_t chunk_cw = cw / s;
 
   // Chunks are still transformed serially — only one chunk's transform
   // working set is alive at a time, the point of the optimization — but
@@ -157,8 +162,9 @@ Tensor PartialSerialCodec::compress(const Tensor& input) const {
       Tensor(Shape::bchw(batch, channels, chunk_h, chunk_w))};
   const std::size_t total = s * s;
   const auto stage = [&](std::size_t index, Tensor& dst) {
-    copy_window(input, (index / s) * chunk_h, (index % s) * chunk_w, dst, 0,
-                0, chunk_h, chunk_w);
+    copy_window(planes, chunk_h, chunk_w,
+                in + (index / s) * chunk_h * w + (index % s) * chunk_w, w,
+                h * w, dst.raw(), chunk_w, chunk_h * chunk_w);
   };
   runtime::ThreadPool& pool = ctx_.pool();
   std::future<void> pending;
@@ -174,30 +180,30 @@ Tensor PartialSerialCodec::compress(const Tensor& input) const {
             pool.submit([&stage, next, index] { stage(index + 1, *next); });
       }
       const Tensor packed = chunk_codec_->compress(chunk);
-      copy_window(packed, 0, 0, out, (index / s) * chunk_ch,
-                  (index % s) * chunk_cw, chunk_ch, chunk_cw);
+      copy_window(planes, chunk_ch, chunk_cw, packed.raw(), chunk_cw,
+                  chunk_ch * chunk_cw,
+                  out + (index / s) * chunk_ch * cw + (index % s) * chunk_cw,
+                  cw, ch * cw);
     }
   } catch (...) {
     // A queued prefetch must not outlive the tensors it writes into.
     if (pending.valid()) pending.wait();
     throw;
   }
-  const std::size_t launches = batch * channels * s * s;
   compress_series_.record(
-      batch * channels,
-      launches * DctChopCodec::flops_compress_hw(chunk_h, chunk_w, config_.cf,
-                                                 config_.block),
-      launches * DctChopCodec::flops_executed_hw(chunk_h, chunk_w, config_.cf,
-                                                 config_.block),
-      input.size_bytes(), out.size_bytes(), timer.nanos());
-  return out;
+      planes,
+      planes * total *
+          DctChopCodec::flops_compress_hw(chunk_h, chunk_w, config_.cf,
+                                          config_.block),
+      planes * total *
+          DctChopCodec::flops_executed_hw(chunk_h, chunk_w, config_.cf,
+                                          config_.block),
+      input.numel() * sizeof(float), packed_shape.numel() * sizeof(float),
+      timer.nanos());
 }
 
 Tensor PartialSerialCodec::decompress(const Tensor& packed,
                                       const Shape& original) const {
-  AIC_TRACE_SCOPE("ps.decompress");
-  Context::PoolScope pool_scope(ctx_);
-  runtime::Timer timer;
   if (packed.shape() != compressed_shape(original)) {
     io::raise_corrupt(io::CorruptKind::kPayloadMismatch,
                       "PartialSerialCodec: packed shape " +
@@ -206,35 +212,54 @@ Tensor PartialSerialCodec::decompress(const Tensor& packed,
                           original.to_string());
   }
   Tensor out(original);
+  decompress_into(packed.raw(), original, out.raw());
+  return out;
+}
+
+void PartialSerialCodec::decompress_into(const float* packed,
+                                         const Shape& original,
+                                         float* out) const {
+  AIC_TRACE_SCOPE("ps.decompress");
+  Context::PoolScope pool_scope(ctx_);
+  runtime::Timer timer;
+  const Shape packed_shape = compressed_shape(original);
   const std::size_t batch = original[0];
   const std::size_t channels = original[1];
+  const std::size_t planes = batch * channels;
+  const std::size_t h = original[2];
+  const std::size_t w = original[3];
+  const std::size_t ch = packed_shape[2];
+  const std::size_t cw = packed_shape[3];
   const std::size_t s = config_.subdivision;
-  const std::size_t chunk_h = original[2] / s;
-  const std::size_t chunk_w = original[3] / s;
-  const std::size_t chunk_ch = config_.cf * chunk_h / config_.block;
-  const std::size_t chunk_cw = config_.cf * chunk_w / config_.block;
+  const std::size_t chunk_h = h / s;
+  const std::size_t chunk_w = w / s;
+  const std::size_t chunk_ch = ch / s;
+  const std::size_t chunk_cw = cw / s;
   const Shape chunk_shape = Shape::bchw(batch, channels, chunk_h, chunk_w);
 
   Tensor chunk_packed(Shape::bchw(batch, channels, chunk_ch, chunk_cw));
   for (std::size_t si = 0; si < s; ++si) {
     for (std::size_t sj = 0; sj < s; ++sj) {
       AIC_TRACE_SCOPE("ps.chunk");
-      copy_window(packed, si * chunk_ch, sj * chunk_cw, chunk_packed, 0, 0,
-                  chunk_ch, chunk_cw);
+      copy_window(planes, chunk_ch, chunk_cw,
+                  packed + si * chunk_ch * cw + sj * chunk_cw, cw, ch * cw,
+                  chunk_packed.raw(), chunk_cw, chunk_ch * chunk_cw);
       const Tensor chunk = chunk_codec_->decompress(chunk_packed, chunk_shape);
-      copy_window(chunk, 0, 0, out, si * chunk_h, sj * chunk_w, chunk_h,
-                  chunk_w);
+      copy_window(planes, chunk_h, chunk_w, chunk.raw(), chunk_w,
+                  chunk_h * chunk_w, out + si * chunk_h * w + sj * chunk_w, w,
+                  h * w);
     }
   }
-  const std::size_t launches = batch * channels * s * s;
   decompress_series_.record(
-      batch * channels,
-      launches * DctChopCodec::flops_decompress_hw(chunk_h, chunk_w,
-                                                   config_.cf, config_.block),
-      launches * DctChopCodec::flops_executed_hw(chunk_h, chunk_w, config_.cf,
-                                                 config_.block),
-      packed.size_bytes(), out.size_bytes(), timer.nanos());
-  return out;
+      planes,
+      planes * s * s *
+          DctChopCodec::flops_decompress_hw(chunk_h, chunk_w, config_.cf,
+                                            config_.block),
+      planes * s * s *
+          DctChopCodec::flops_executed_hw(chunk_h, chunk_w, config_.cf,
+                                          config_.block),
+      packed_shape.numel() * sizeof(float), original.numel() * sizeof(float),
+      timer.nanos());
 }
 
 std::size_t PartialSerialCodec::operator_bytes() const {

@@ -142,12 +142,26 @@ Shape DctChopPlan::packed_shape(const Shape& input) const {
   return Shape::bchw(input[0], input[1], ch, cw);
 }
 
+void DctChopPlan::compress_into(const float* in, float* out,
+                                std::size_t planes) const {
+  tensor::block_sandwich_into(tile_, in, planes, key().height, key().width,
+                              tile_t_, out);
+}
+
+void DctChopPlan::decompress_into(const float* packed, float* out,
+                                  std::size_t planes) const {
+  // Eq. 6: A' = RHS · Y · LHS — the same tiles with roles swapped.
+  const PlanKey& k = key();
+  tensor::block_sandwich_into(tile_t_, packed, planes,
+                              k.cf * k.height / k.block,
+                              k.cf * k.width / k.block, tile_, out);
+}
+
 void DctChopPlan::compress_into(const Tensor& input, Tensor& out) const {
   tensor::block_sandwich_into(tile_, input, tile_t_, out);
 }
 
 void DctChopPlan::decompress_into(const Tensor& packed, Tensor& out) const {
-  // Eq. 6: A' = RHS · Y · LHS — the same tiles with roles swapped.
   tensor::block_sandwich_into(tile_t_, packed, tile_, out);
 }
 
@@ -238,17 +252,15 @@ Shape TrianglePlan::packed_shape(const Shape& input) const {
   return Shape::bchw(input[0], input[1], blocks_, per_block_);
 }
 
-void TrianglePlan::compress_into(const Tensor& input, Tensor& out) const {
-  Tensor chopped(inner_plan_->packed_shape(input.shape()));
-  inner_plan_->compress_into(input, chopped);
-  const std::size_t planes = input.shape()[0] * input.shape()[1];
+void TrianglePlan::compress_into(const float* in, float* out,
+                                 std::size_t planes) const {
   const std::size_t plane = chopped_h_ * chopped_w_;
   const std::size_t packed_plane = blocks_ * per_block_;
-  const float* src = chopped.raw();
-  float* dst = out.raw();
+  std::vector<float> chopped(planes * plane);
+  inner_plan_->compress_into(in, chopped.data(), planes);
   for (std::size_t p = 0; p < planes; ++p) {
-    const float* plane_src = src + p * plane;
-    float* plane_dst = dst + p * packed_plane;
+    const float* plane_src = chopped.data() + p * plane;
+    float* plane_dst = out + p * packed_plane;
     // torch.gather: packed[k] = chopped[index[k]]
     for (std::size_t k = 0; k < indices_.size(); ++k) {
       plane_dst[k] = plane_src[indices_[k]];
@@ -256,24 +268,30 @@ void TrianglePlan::compress_into(const Tensor& input, Tensor& out) const {
   }
 }
 
-void TrianglePlan::decompress_into(const Tensor& packed, Tensor& out) const {
-  const std::size_t planes = out.shape()[0] * out.shape()[1];
-  Tensor chopped(
-      Shape::bchw(out.shape()[0], out.shape()[1], chopped_h_, chopped_w_));
+void TrianglePlan::decompress_into(const float* packed, float* out,
+                                   std::size_t planes) const {
   const std::size_t plane = chopped_h_ * chopped_w_;
   const std::size_t packed_plane = blocks_ * per_block_;
-  const float* src = packed.raw();
-  float* dst = chopped.raw();
+  // Untouched positions stay zero (they were chopped away).
+  std::vector<float> chopped(planes * plane, 0.0f);
   for (std::size_t p = 0; p < planes; ++p) {
-    const float* plane_src = src + p * packed_plane;
-    float* plane_dst = dst + p * plane;
-    // torch.scatter: chopped[index[k]] = packed[k]; untouched positions
-    // stay zero (they were chopped away).
+    const float* plane_src = packed + p * packed_plane;
+    float* plane_dst = chopped.data() + p * plane;
+    // torch.scatter: chopped[index[k]] = packed[k]
     for (std::size_t k = 0; k < indices_.size(); ++k) {
       plane_dst[indices_[k]] = plane_src[k];
     }
   }
-  inner_plan_->decompress_into(chopped, out);
+  inner_plan_->decompress_into(chopped.data(), out, planes);
+}
+
+void TrianglePlan::compress_into(const Tensor& input, Tensor& out) const {
+  compress_into(input.raw(), out.raw(),
+                input.shape()[0] * input.shape()[1]);
+}
+
+void TrianglePlan::decompress_into(const Tensor& packed, Tensor& out) const {
+  decompress_into(packed.raw(), out.raw(), out.shape()[0] * out.shape()[1]);
 }
 
 std::size_t TrianglePlan::resident_bytes() const {

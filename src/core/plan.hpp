@@ -95,9 +95,15 @@ class DctChopPlan final : public CodecPlan {
 
   tensor::Shape packed_shape(const tensor::Shape& input) const;
 
-  /// Eq. 4: out[b,c] = LHS_H · in[b,c] · RHS_W. `out` must be preshaped.
+  /// Eq. 4 over caller memory: `planes` planes of height×width floats
+  /// at `in` become planes of the packed shape at `out`,
+  /// out[p] = LHS_H · in[p] · RHS_W. Only float alignment is required.
+  void compress_into(const float* in, float* out, std::size_t planes) const;
+  /// Eq. 6 over caller memory: out[p] = RHS_H · packed[p] · LHS_W.
+  void decompress_into(const float* packed, float* out,
+                       std::size_t planes) const;
+  /// Tensor adapters; `out` must be preshaped.
   void compress_into(const tensor::Tensor& input, tensor::Tensor& out) const;
-  /// Eq. 6: out[b,c] = RHS_H · packed[b,c] · LHS_W.
   void decompress_into(const tensor::Tensor& packed,
                        tensor::Tensor& out) const;
 
@@ -155,9 +161,14 @@ class TrianglePlan final : public CodecPlan {
 
   tensor::Shape packed_shape(const tensor::Shape& input) const;
 
-  /// Inner chop (Eq. 4) followed by the compile-time gather.
-  void compress_into(const tensor::Tensor& input, tensor::Tensor& out) const;
+  /// Inner chop (Eq. 4) followed by the compile-time gather, over
+  /// `planes` planes of caller memory.
+  void compress_into(const float* in, float* out, std::size_t planes) const;
   /// Scatter back into the chopped layout, then inner Eq. 6.
+  void decompress_into(const float* packed, float* out,
+                       std::size_t planes) const;
+  /// Tensor adapters; `out` must be preshaped.
+  void compress_into(const tensor::Tensor& input, tensor::Tensor& out) const;
   void decompress_into(const tensor::Tensor& packed,
                        tensor::Tensor& out) const;
 

@@ -83,31 +83,33 @@ Shape TriangleCodec::compressed_shape(const Shape& input) const {
 }
 
 Tensor TriangleCodec::compress(const Tensor& input) const {
+  Tensor out(compressed_shape(input.shape()));
+  compress_into(input.raw(), input.shape(), out.raw());
+  return out;
+}
+
+void TriangleCodec::compress_into(const float* in, const Shape& input,
+                                  float* out) const {
   AIC_TRACE_SCOPE("sg.compress");
   Context::PoolScope pool_scope(ctx_);
   runtime::Timer timer;
-  Tensor out(compressed_shape(input.shape()));
-  const std::shared_ptr<const TrianglePlan> plan =
-      plan_for(input.shape()[2], input.shape()[3]);
-  plan->compress_into(input, out);
-  const std::size_t planes = input.shape()[0] * input.shape()[1];
-  const std::size_t h = input.shape()[2];
-  const std::size_t w = input.shape()[3];
+  const Shape packed_shape = compressed_shape(input);
+  const std::size_t planes = input[0] * input[1];
+  const std::size_t h = input[2];
+  const std::size_t w = input[3];
+  plan_for(h, w)->compress_into(in, out, planes);
   compress_series_.record(
       planes,
       planes * DctChopCodec::flops_compress_hw(h, w, config_.cf,
                                                config_.block),
       planes * DctChopCodec::flops_executed_hw(h, w, config_.cf,
                                                config_.block),
-      input.size_bytes(), out.size_bytes(), timer.nanos());
-  return out;
+      input.numel() * sizeof(float), packed_shape.numel() * sizeof(float),
+      timer.nanos());
 }
 
 Tensor TriangleCodec::decompress(const Tensor& packed,
                                  const Shape& original) const {
-  AIC_TRACE_SCOPE("sg.decompress");
-  Context::PoolScope pool_scope(ctx_);
-  runtime::Timer timer;
   if (packed.shape() != compressed_shape(original)) {
     io::raise_corrupt(io::CorruptKind::kPayloadMismatch,
                       "TriangleCodec: packed shape " +
@@ -115,21 +117,29 @@ Tensor TriangleCodec::decompress(const Tensor& packed,
                           compressed_shape(original).to_string() + " for " +
                           original.to_string());
   }
-  const std::shared_ptr<const TrianglePlan> plan =
-      plan_for(original[2], original[3]);
   Tensor out(original);
-  plan->decompress_into(packed, out);
+  decompress_into(packed.raw(), original, out.raw());
+  return out;
+}
+
+void TriangleCodec::decompress_into(const float* packed,
+                                    const Shape& original, float* out) const {
+  AIC_TRACE_SCOPE("sg.decompress");
+  Context::PoolScope pool_scope(ctx_);
+  runtime::Timer timer;
+  const Shape packed_shape = compressed_shape(original);
   const std::size_t planes = original[0] * original[1];
   const std::size_t h = original[2];
   const std::size_t w = original[3];
+  plan_for(h, w)->decompress_into(packed, out, planes);
   decompress_series_.record(
       planes,
       planes * DctChopCodec::flops_decompress_hw(h, w, config_.cf,
                                                  config_.block),
       planes * DctChopCodec::flops_executed_hw(h, w, config_.cf,
                                                config_.block),
-      packed.size_bytes(), out.size_bytes(), timer.nanos());
-  return out;
+      packed_shape.numel() * sizeof(float), original.numel() * sizeof(float),
+      timer.nanos());
 }
 
 }  // namespace aic::core

@@ -35,6 +35,12 @@ class TriangleCodec final : public Codec {
   tensor::Tensor compress(const tensor::Tensor& input) const override;
   tensor::Tensor decompress(const tensor::Tensor& packed,
                             const tensor::Shape& original) const override;
+  using Codec::compress_into;
+  using Codec::decompress_into;
+  void compress_into(const float* in, const tensor::Shape& input,
+                     float* out) const override;
+  void decompress_into(const float* packed, const tensor::Shape& original,
+                       float* out) const override;
 
   const DctChopConfig& config() const { return config_; }
   bool pinned() const { return pinned_ != nullptr; }

@@ -156,9 +156,10 @@ class Context {
   static std::size_t resolve_thread_count(std::size_t flag_value = 0);
 
   /// Type-erased per-context lazily initialized state for higher layers
-  /// (the core layer's PlanCache lives in kPlanCache). The factory runs at
-  /// most once per context per slot, under the context's slot mutex.
-  enum class Slot : std::size_t { kPlanCache = 0, kArchiveScratch = 1, kCount };
+  /// (the core layer's PlanCache lives in kPlanCache, its resolved codec
+  /// series handles in kCodecSeries). The factory runs at most once per
+  /// context per slot, under the context's slot mutex.
+  enum class Slot : std::size_t { kPlanCache = 0, kCodecSeries = 1, kCount };
   std::shared_ptr<void> slot(
       Slot which,
       const std::function<std::shared_ptr<void>()>& factory) const;

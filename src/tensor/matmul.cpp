@@ -132,48 +132,71 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-void block_sandwich_into(const Tensor& left, const Tensor& in,
-                         const Tensor& right, Tensor& out) {
-  if (in.shape().rank() != 4 || out.shape().rank() != 4) {
-    throw std::invalid_argument("block_sandwich: tensors must be rank 4");
-  }
+namespace {
+
+// Checks the tiles against h×w planes; `planes` is left zero.
+BlockDims block_dims(const Tensor& left, const Tensor& right, std::size_t h,
+                     std::size_t w) {
   if (left.shape().rank() != 2 || right.shape().rank() != 2) {
     throw std::invalid_argument("block_sandwich: tiles must be rank 2");
   }
   require_float32(left, "block_sandwich", "left tile");
   require_float32(right, "block_sandwich", "right tile");
-  require_float32(in, "block_sandwich", "input");
-  require_float32(out, "block_sandwich", "output");
   BlockDims d{};
   d.lr = left.shape()[0];
   d.lc = left.shape()[1];
   d.rr = right.shape()[0];
   d.rc = right.shape()[1];
-  d.h = in.shape()[2];
-  d.w = in.shape()[3];
+  d.h = h;
+  d.w = w;
   if (d.lr == 0 || d.lc == 0 || d.rr == 0 || d.rc == 0 || d.h % d.lc != 0 ||
       d.w % d.rr != 0) {
     throw std::invalid_argument(
         "block_sandwich: tiles " + left.shape().to_string() + " / " +
-        right.shape().to_string() + " do not tile input " +
-        in.shape().to_string());
+        right.shape().to_string() + " do not tile " + std::to_string(h) +
+        "x" + std::to_string(w) + " planes");
   }
   d.out_h = d.h / d.lc * d.lr;
   d.out_w = d.w / d.rr * d.rc;
-  if (out.shape() !=
-      Shape::bchw(in.shape()[0], in.shape()[1], d.out_h, d.out_w)) {
-    throw std::invalid_argument("block_sandwich: output shape mismatch");
-  }
-  d.planes = in.shape()[0] * in.shape()[1];
+  return d;
+}
+
+void run_block_sandwich(const float* left, const float* in,
+                        const float* right, float* out, const BlockDims& d) {
   if (d.planes == 0 || d.h == 0 || d.w == 0) return;
   runtime::parallel_for_chunks(
       0, d.planes * (d.h / d.lc),
       [&](std::size_t lo, std::size_t hi) {
         AIC_TRACE_SCOPE("sandwich.block_chunk");
-        block_sandwich_chunk(left.raw(), in.raw(), right.raw(), out.raw(), d,
-                             lo, hi);
+        block_sandwich_chunk(left, in, right, out, d, lo, hi);
       },
       {.grain = kBandGrain});
+}
+
+}  // namespace
+
+void block_sandwich_into(const Tensor& left, const Tensor& in,
+                         const Tensor& right, Tensor& out) {
+  if (in.shape().rank() != 4 || out.shape().rank() != 4) {
+    throw std::invalid_argument("block_sandwich: tensors must be rank 4");
+  }
+  const Shape& shape = in.shape();
+  BlockDims d = block_dims(left, right, shape[2], shape[3]);
+  require_float32(in, "block_sandwich", "input");
+  require_float32(out, "block_sandwich", "output");
+  if (out.shape() != Shape::bchw(shape[0], shape[1], d.out_h, d.out_w)) {
+    throw std::invalid_argument("block_sandwich: output shape mismatch");
+  }
+  d.planes = shape[0] * shape[1];
+  run_block_sandwich(left.raw(), in.raw(), right.raw(), out.raw(), d);
+}
+
+void block_sandwich_into(const Tensor& left, const float* in,
+                         std::size_t planes, std::size_t h, std::size_t w,
+                         const Tensor& right, float* out) {
+  BlockDims d = block_dims(left, right, h, w);
+  d.planes = planes;
+  run_block_sandwich(left.raw(), in, right.raw(), out, d);
 }
 
 std::size_t matmul_flops(const Tensor& a, const Tensor& b) {

@@ -43,6 +43,15 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
 void block_sandwich_into(const Tensor& left, const Tensor& in,
                          const Tensor& right, Tensor& out);
 
+/// The same sandwich over caller memory: `planes` planes of h×w floats at
+/// `in` into `out`, which must hold planes × (h/lc·lr) × (w/rr·rc)
+/// floats. The planes need only float alignment (a mapped file's data
+/// may start at any 4-byte offset). The rank-4 overload checks its
+/// tensors and forwards here; the bytes are the same.
+void block_sandwich_into(const Tensor& left, const float* in,
+                         std::size_t planes, std::size_t h, std::size_t w,
+                         const Tensor& right, float* out);
+
 /// Floating-point-operation count of `matmul(a, b)` (2·m·n·k).
 std::size_t matmul_flops(const Tensor& a, const Tensor& b);
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "cli/robustness_suite.hpp"
 #include "core/dct_chop.hpp"
 #include "io/error.hpp"
+#include "io/fault_inject.hpp"
 #include "io/tensor_io.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
@@ -186,6 +188,10 @@ TEST(Cli, StatsPrintsTheRegistryRowOfEachCodecStem) {
   EXPECT_EQ(row_value(sz, "calls"), 1u) << out;
   EXPECT_EQ(row_value(sz, "planes"), 6u) << out;
   EXPECT_GT(row_value(sz, "bytes_out"), 0u) << out;
+  // The comparators count no FLOPs, so their rows carry no FLOP series
+  // (not a misleading flops=0).
+  EXPECT_EQ(sz.find(" flops="), std::string::npos) << sz;
+  EXPECT_EQ(sz.find(" flops_executed="), std::string::npos) << sz;
 }
 
 TEST(Cli, AlternativeTransformAccepted) {
@@ -444,18 +450,143 @@ TEST(Cli, CompressIntoFifoMatchesFile) {
                                       options));
 }
 
+/// What `aicomp decompress` must write for `archive_bytes`: the serialized
+/// whole-tensor decompress of the in-memory decoder.
+std::string expected_restore(const std::string& archive_bytes) {
+  const Archive archive = deserialize_archive(archive_bytes);
+  return io::serialize_tensor(make_archive_codec(archive)->decompress(
+      archive.packed, archive.original_shape));
+}
+
 TEST(Cli, DecompressFileMatchesSerializedTensor) {
+  // 3x3 planes of 256² restore in groups of 4, 4 and 1 planes. 1 KiB
+  // chunks straddle planes, groups and the 44-byte tensor header, so the
+  // packed window is refilled mid-chunk at every group.
   TempDir dir;
   const std::string raw = dir.file("raw.aict");
   const std::string packed = dir.file("packed.aicz");
   const std::string restored = dir.file("restored.aict");
-  ASSERT_EQ(run({"gen", raw, "--res", "32"}), 0);
-  ASSERT_EQ(run({"compress", raw, packed}), 0);
-  ASSERT_EQ(run({"decompress", packed, restored}), 0);
-  const Archive archive = deserialize_archive(read_file(packed));
-  const Tensor expected = make_archive_codec(archive)->decompress(
-      archive.packed, archive.original_shape);
-  EXPECT_EQ(read_file(restored), io::serialize_tensor(expected));
+  ASSERT_EQ(run({"gen", raw, "--batch", "3", "--channels", "3", "--res",
+                 "256"}),
+            0);
+  for (const std::string codec :
+       {"dctchop:cf=4", "triangle:cf=4", "partial:cf=4,s=2"}) {
+    for (const std::string entropy : {"raw", "huffman", "auto"}) {
+      ASSERT_EQ(run({"compress", raw, packed, "--codec", codec, "--entropy",
+                     entropy, "--chunk-bytes", "1024"}),
+                0);
+      const std::string expected = expected_restore(read_file(packed));
+      for (const std::string threads : {"1", "4"}) {
+        const std::string label =
+            codec + " " + entropy + " threads=" + threads;
+        ASSERT_EQ(run({"decompress", packed, restored, "--threads", threads}),
+                  0)
+            << label;
+        EXPECT_EQ(read_file(restored), expected) << label;
+        std::string out;
+        ASSERT_EQ(run({"verify", packed, "--threads", threads}, &out), 0)
+            << label;
+        EXPECT_NE(out.find("ok: codec="), std::string::npos) << label;
+      }
+    }
+  }
+  // The read-only v2/v3 containers restore through the same group loop.
+  for (const std::string seed :
+       {"seed_archive_dctchop_v2.bin", "seed_archive_dctchop_v3.bin",
+        "seed_archive_partial_v3.bin", "seed_archive_triangle_v3.bin"}) {
+    const std::string seed_path =
+        std::string(AIC_CORPUS_DIR) + "/archive/" + seed;
+    ASSERT_EQ(run({"decompress", seed_path, restored}), 0) << seed;
+    EXPECT_EQ(read_file(restored), expected_restore(read_file(seed_path)))
+        << seed;
+  }
+}
+
+TEST(Cli, DecompressAndVerifyRejectLikeTheInMemoryDecoder) {
+  // Every sampled mutant of the v4 seeds fails `decompress` and `verify`
+  // with exactly the error deserialize_archive raises (same kind, same
+  // chunk), and a failed decompress leaves no output file; a mutant the
+  // decoder accepts restores to the decoder's bytes.
+  TempDir dir;
+  const std::string mutant_path = dir.file("mutant.aicz");
+  const std::string restored = dir.file("restored.aict");
+  io::FaultMatrixOptions options;
+  options.truncate_stride = 5;
+  options.random_flips = 48;
+  for (const std::string seed :
+       {"seed_archive_dctchop_v4_raw.bin", "seed_archive_dctchop_v4_packed.bin",
+        "seed_archive_partial_v4_auto.bin",
+        "seed_archive_triangle_v4_huffman.bin"}) {
+    std::size_t checked = 0;
+    const io::DecodeFn decode = [&](const std::string& mutant) {
+      std::ofstream(mutant_path, std::ios::binary | std::ios::trunc) << mutant;
+      std::string expected;
+      std::optional<io::CorruptStream> error;
+      try {
+        expected = expected_restore(mutant);
+      } catch (const io::CorruptStream& rejected) {
+        error = rejected;
+      }
+      for (const std::string command : {"decompress", "verify"}) {
+        std::vector<std::string> args{command, mutant_path};
+        if (command == "decompress") args.push_back(restored);
+        std::string err;
+        const int code = run(args, nullptr, &err);
+        if (error) {
+          EXPECT_EQ(code, 1) << seed << " " << command;
+          EXPECT_EQ(err, std::string("error: ") + error->what() + "\n")
+              << seed << " " << command;
+          EXPECT_FALSE(std::filesystem::exists(restored)) << seed;
+        } else {
+          EXPECT_EQ(code, 0) << seed << " " << command << ": " << err;
+          if (command == "decompress") {
+            EXPECT_EQ(read_file(restored), expected) << seed;
+            std::filesystem::remove(restored);
+          }
+        }
+      }
+      ++checked;
+      if (error) throw *error;
+      return expected;
+    };
+    const io::FaultReport report = io::run_fault_matrix(
+        read_corpus_seed(AIC_CORPUS_DIR, "archive", seed), decode, options);
+    EXPECT_TRUE(report.ok()) << seed << ": " << report.summary();
+    EXPECT_GT(report.rejected, 50u) << seed;
+    EXPECT_GT(checked, 100u) << seed;
+  }
+}
+
+TEST(Cli, DecompressReportsTheLowestCorruptChunk) {
+  // Two corrupt chunks in different plane groups: the streamed restore
+  // stops at the first and names it, as the whole-payload decode does.
+  TempDir dir;
+  const std::string raw = dir.file("raw.aict");
+  const std::string packed = dir.file("packed.aicz");
+  const std::string restored = dir.file("restored.aict");
+  ASSERT_EQ(run({"gen", raw, "--batch", "2", "--channels", "3", "--res",
+                 "256"}),
+            0);
+  ASSERT_EQ(run({"compress", raw, packed, "--chunk-bytes", "4096"}), 0);
+  std::string bytes = read_file(packed);
+  bytes[bytes.size() - 100] ^= 0x01;  // the last chunk, second group
+  bytes[bytes.size() / 3] ^= 0x01;    // a chunk of the first group
+  std::ofstream(packed, std::ios::binary | std::ios::trunc) << bytes;
+  std::string expected;
+  try {
+    deserialize_archive(bytes);
+    FAIL() << "corrupt archive accepted";
+  } catch (const io::CorruptStream& error) {
+    expected = std::string("error: ") + error.what() + "\n";
+  }
+  for (const std::string threads : {"1", "4"}) {
+    std::string err;
+    EXPECT_EQ(run({"decompress", packed, restored, "--threads", threads},
+                  nullptr, &err),
+              1);
+    EXPECT_EQ(err, expected) << threads;
+    EXPECT_FALSE(std::filesystem::exists(restored)) << threads;
+  }
 }
 
 TEST(Cli, FailedCompressLeavesNoOutput) {
