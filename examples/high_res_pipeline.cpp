@@ -65,10 +65,6 @@ int main() {
                                 3)});
   table.print(std::cout);
 
-  std::cout << "\nhost working set for the serialized codec (pack scratch "
-               "+ chunk staging, batch of "
-            << batch.batch << "x" << batch.channels << "): "
-            << ps.workspace_bytes(batch.batch, batch.channels) << " bytes\n";
   std::cout << "\nFig. 15 expectation: ~2.5-3.8x slowdown vs native "
                "256x256 processing, not the naive 4x.\n";
   return 0;

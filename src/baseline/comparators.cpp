@@ -24,16 +24,13 @@ std::uint64_t param_milli(double value) {
   return static_cast<std::uint64_t>(std::llround(value * 1000.0));
 }
 
-/// Plan for parameter-only comparators (zfp, sz): nothing resident, no
-/// executor scratch — the plan exists so baseline codecs account through
-/// the same cache and metrics as the core kinds.
+/// Plan for parameter-only comparators (zfp, sz): nothing resident — the
+/// plan exists so baseline codecs account through the same cache and
+/// metrics as the core kinds.
 class ParamPlan final : public core::CodecPlan {
  public:
   explicit ParamPlan(const core::PlanKey& key) : core::CodecPlan(key) {}
   std::size_t resident_bytes() const override { return 0; }
-  std::size_t workspace_bytes(std::size_t, std::size_t) const override {
-    return 0;
-  }
 };
 
 /// Plan holding the quality-scaled JPEG quantization table (the codec's
@@ -44,9 +41,6 @@ class JpegPlan final : public core::CodecPlan {
       : core::CodecPlan(key), codec_(quality, chroma) {}
   const JpegLikeCodec& codec() const { return codec_; }
   std::size_t resident_bytes() const override { return sizeof(QuantTable); }
-  std::size_t workspace_bytes(std::size_t, std::size_t) const override {
-    return 0;
-  }
 
  private:
   JpegLikeCodec codec_;

@@ -167,38 +167,21 @@ void check_header_crc(std::string_view header, std::uint32_t stored) {
   }
 }
 
-std::string codec_spec_impl(const Archive& archive, bool pin_shape) {
-  const auto& c = archive.config;
-  std::ostringstream spec;
-  if (archive.subdivision > 1) {
-    spec << "partial:cf=" << c.cf << ",block=" << c.block
-         << ",s=" << archive.subdivision;
-  } else if (archive.triangle) {
-    spec << "triangle:cf=" << c.cf << ",block=" << c.block;
-  } else {
-    spec << "dctchop:cf=" << c.cf << ",block=" << c.block;
-  }
-  spec << ",transform=" << core::transform_name(c.transform);
-  if (pin_shape && c.height != 0) {
-    spec << ",h=" << c.height << ",w=" << c.width;
-  }
-  return spec.str();
-}
-
-/// The compressed shape the header's codec promises, computed
-/// allocation-free. The probe codec is deliberately built WITHOUT
-/// pinning height/width: a pinned constructor eagerly compiles the plan
-/// (operator matrices sized by the header dims), which would let a
-/// mutated-but-plausible dim force a multi-gigabyte allocation before
-/// any check can reject it. The shape-agnostic constructor validates the
-/// same geometry arithmetically; the real pinned codec is only ever
-/// built after the payload has vouched for the dims. Factory/shape
+/// The compressed shape the header's codec promises, and (when `codec`
+/// is non-null) the pinned codec itself, built once here for the whole
+/// decode. Building it allocates nothing sized by the header dims: every
+/// chop-family codec holds one CF×block tile pair whatever H and W are,
+/// so a mutated-but-plausible dim cannot force a large allocation before
+/// the payload is checked against the promised shape. Factory/shape
 /// errors here are data errors (the header is attacker controlled), so
 /// they surface as CorruptStream, not invalid_argument.
-Shape expected_compressed_shape(const Archive& archive, const Context& ctx) {
+Shape expected_compressed_shape(const Archive& archive, const Context& ctx,
+                                core::CodecPtr* codec) {
   try {
-    return core::make_codec(codec_spec_impl(archive, false), ctx)
-        ->compressed_shape(archive.original_shape);
+    core::CodecPtr built = make_archive_codec(archive, ctx);
+    Shape shape = built->compressed_shape(archive.original_shape);
+    if (codec != nullptr) *codec = std::move(built);
+    return shape;
   } catch (const io::CorruptStream&) {
     throw;
   } catch (const std::exception& error) {
@@ -631,6 +614,7 @@ struct ChunkEntry {
 /// before any payload byte is touched.
 struct V4Layout {
   Archive archive;  // packed left empty until the payload decodes
+  core::CodecPtr codec;  // the pinned codec the header describes
   Shape expected_shape;
   std::uint64_t payload_len = 0;
   std::uint64_t chunk_bytes = 0;
@@ -655,7 +639,8 @@ V4Layout parse_v4_layout(std::string_view header, std::uint32_t header_crc,
 
   // The payload length is fully determined by the (CRC-gated) codec
   // fields, so it is checked against them rather than trusted.
-  layout.expected_shape = expected_compressed_shape(layout.archive, ctx);
+  layout.expected_shape =
+      expected_compressed_shape(layout.archive, ctx, &layout.codec);
   const std::size_t expected_payload =
       io::serialized_tensor_bytes(layout.expected_shape);
   if (layout.payload_len != expected_payload) {
@@ -875,9 +860,11 @@ Archive decode_v4(V4Layout&& layout, const ChunkSource& source,
 }
 
 /// Reads and decodes a v2/v3 container after its prologue (read-only:
-/// no writer emits these versions).
+/// no writer emits these versions); `codec`, when non-null, receives the
+/// pinned codec of its header.
 Archive deserialize_legacy(io::ByteReader& reader, std::uint32_t version,
-                           const Context& ctx) {
+                           const Context& ctx,
+                           core::CodecPtr* codec = nullptr) {
   Archive archive;
   if (version == 3) {
     const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
@@ -909,7 +896,7 @@ Archive deserialize_legacy(io::ByteReader& reader, std::uint32_t version,
   }
   archive.packed = io::deserialize_tensor(reader.rest());
   validate_payload_shape(archive.packed.shape(),
-                         expected_compressed_shape(archive, ctx));
+                         expected_compressed_shape(archive, ctx, codec));
   return archive;
 }
 
@@ -922,19 +909,18 @@ Archive deserialize_legacy(io::ByteReader& reader, std::uint32_t version,
                     " encoded bytes, stream has " + std::to_string(have));
 }
 
-/// The restore side of a streamed decode: builds the codec the archive
-/// header describes, writes the io::save_tensor header of the original
-/// shape to `out` (none when null), then restores plane groups in order
-/// into two recycled output buffers. A group's write runs on the pool
+/// The restore side of a streamed decode: with `codec`, the pinned codec
+/// of the archive header, writes the io::save_tensor header of the
+/// original shape to `out` (none when null), then restores plane groups
+/// in order into two recycled output buffers. A group's write runs on the pool
 /// while the next group decodes and transforms into the other buffer.
 /// `next_group(g)` returns the packed floats of the next `g` planes. The
 /// archive family treats planes independently, so the groups restore to
 /// the bytes of one whole-tensor decompress.
 RestoredArchive restore_groups(
-    const Archive& archive, const Shape& packed_shape, std::ostream* out,
-    const Context& ctx,
+    const Archive& archive, const core::CodecPtr& codec,
+    const Shape& packed_shape, std::ostream* out, const Context& ctx,
     const std::function<const float*(std::size_t)>& next_group) {
-  const core::CodecPtr codec = make_archive_codec(archive, ctx);
   const Shape& original = archive.original_shape;
   const std::size_t planes = original[0] * original[1];
   const std::size_t plane_bytes = original[2] * original[3] * sizeof(float);
@@ -983,8 +969,8 @@ RestoredArchive restore_groups(
 /// Streams a whole v4 payload through restore_groups: chunk batches
 /// decode in order into one recycled packed window, and each group
 /// restores as soon as its chunks are in. The window holds one group's
-/// packed bytes plus the chunk tails around them; the pinned codec is
-/// built only after the tensor header and payload shape have validated.
+/// packed bytes plus the chunk tails around them; the pinned codec is the
+/// one the header parse built.
 RestoredArchive restore_v4(V4Layout&& layout, const ChunkSource& source,
                            std::ostream* out, const Context& ctx) {
   AIC_TRACE_SCOPE("pipeline.restore_v4");
@@ -1004,7 +990,8 @@ RestoredArchive restore_v4(V4Layout&& layout, const ChunkSource& source,
   std::uint64_t base = 0;  // payload offset of window.data()[0]
   std::uint64_t start = decoder.read_header(window.data()).header_bytes;
   const RestoredArchive restored = restore_groups(
-      layout.archive, layout.expected_shape, out, ctx, [&](std::size_t g) {
+      layout.archive, layout.codec, layout.expected_shape, out, ctx,
+      [&](std::size_t g) {
         const std::uint64_t end = start + g * packed_plane_bytes;
         if (decoder.decoded() < end) {
           // The group's decoded head moves to the window front (at most
@@ -1046,7 +1033,21 @@ std::pair<V4Layout, ChunkSource> open_v4(io::ByteReader& reader,
 }  // namespace
 
 std::string archive_codec_spec(const Archive& archive) {
-  return codec_spec_impl(archive, true);
+  const auto& c = archive.config;
+  std::ostringstream spec;
+  if (archive.subdivision > 1) {
+    spec << "partial:cf=" << c.cf << ",block=" << c.block
+         << ",s=" << archive.subdivision;
+  } else if (archive.triangle) {
+    spec << "triangle:cf=" << c.cf << ",block=" << c.block;
+  } else {
+    spec << "dctchop:cf=" << c.cf << ",block=" << c.block;
+  }
+  spec << ",transform=" << core::transform_name(c.transform);
+  if (c.height != 0) {
+    spec << ",h=" << c.height << ",w=" << c.width;
+  }
+  return spec.str();
 }
 
 core::CodecPtr make_archive_codec(const Archive& archive,
@@ -1137,10 +1138,11 @@ RestoredArchive restore_archive(std::string_view bytes, std::ostream* out,
   }
   // v2/v3 hold one unchunked payload: it decodes whole, then restores
   // group by group like v4.
-  const Archive archive = deserialize_legacy(reader, version, ctx);
+  core::CodecPtr codec;
+  const Archive archive = deserialize_legacy(reader, version, ctx, &codec);
   const Shape& packed = archive.packed.shape();
   const float* next = archive.packed.raw();
-  return restore_groups(archive, packed, out, ctx, [&](std::size_t g) {
+  return restore_groups(archive, codec, packed, out, ctx, [&](std::size_t g) {
     const float* group = next;
     next += g * packed[2] * packed[3];
     return group;

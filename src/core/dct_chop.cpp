@@ -13,99 +13,101 @@ namespace aic::core {
 using tensor::Shape;
 using tensor::Tensor;
 
-DctChopCodec::DctChopCodec(DctChopConfig config, Context ctx)
+ChopFamilyCodec::ChopFamilyCodec(const DctChopConfig& chop,
+                                 std::size_t subdivision,
+                                 const char* compress_stem,
+                                 const char* decompress_stem, Context ctx)
     : Codec(std::move(ctx)),
-      config_(config),
-      compress_series_(ctx_, "codec.compress"),
-      decompress_series_(ctx_, "codec.decompress") {
-  const auto& c = config_;
-  if (c.block == 0 || c.cf == 0 || c.cf > c.block) {
-    throw std::invalid_argument("DctChopCodec: cf must be in [1, block]");
+      chop_(chop),
+      subdivision_(subdivision),
+      compress_stem_(compress_stem),
+      decompress_stem_(decompress_stem),
+      compress_series_(ctx_, compress_stem),
+      decompress_series_(ctx_, decompress_stem) {
+  if (subdivision_ == 0) {
+    throw std::invalid_argument("DCT+Chop: subdivision must be >= 1");
   }
-  if (c.height != 0 || c.width != 0) {
-    // Pinned mode: compile (or share) the plan now, validating geometry
-    // exactly the way the per-shape constructor always did.
-    pinned_ = resolve_dct_chop_plan(ctx_, c.height, c.width, c.cf, c.block,
-                                    c.transform);
+  if (chop_.block == 0 || chop_.cf == 0 || chop_.cf > chop_.block) {
+    throw std::invalid_argument("DCT+Chop: cf must be in [1, block]");
+  }
+  if (chop_.height != 0 || chop_.width != 0) {
+    // Pinned mode: validate the geometry and compile (or share) the plan
+    // now.
+    (void)ChopFamilyCodec::compressed_shape(
+        Shape::bchw(1, 1, chop_.height, chop_.width));
+    pinned_ = resolve_dct_chop_plan(ctx_, chop_.height, chop_.width, chop_.cf,
+                                    chop_.block, chop_.transform);
   }
 }
 
-std::shared_ptr<const DctChopPlan> DctChopCodec::plan_for(
+std::shared_ptr<const DctChopPlan> ChopFamilyCodec::plan_for(
     std::size_t height, std::size_t width) const {
-  if (pinned_) {
-    if (height != config_.height || width != config_.width) {
-      throw std::invalid_argument(
-          "DctChopCodec: codec compiled for " + std::to_string(config_.height) +
-          "x" + std::to_string(config_.width) + ", got " +
-          std::to_string(height) + "x" + std::to_string(width));
-    }
-    return pinned_;
-  }
-  return resolve_dct_chop_plan(ctx_, height, width, config_.cf, config_.block,
-                               config_.transform);
+  if (pinned_) return pinned_;  // compressed_shape checked the resolution
+  return resolve_dct_chop_plan(ctx_, height, width, chop_.cf, chop_.block,
+                               chop_.transform);
 }
 
-std::string DctChopCodec::name() const {
-  std::ostringstream out;
-  out << transform_name(config_.transform) << "+chop(cf=" << config_.cf
-      << ",block=" << config_.block << ")";
-  return out.str();
-}
-
-std::string DctChopCodec::spec() const {
-  std::ostringstream out;
-  out << "dctchop:cf=" << config_.cf << ",block=" << config_.block;
-  if (config_.transform != TransformKind::kDct2) {
-    out << ",transform=" << transform_name(config_.transform);
-  }
-  if (pinned_) {
-    out << ",h=" << config_.height << ",w=" << config_.width;
-  }
-  return out.str();
-}
-
-double DctChopCodec::compression_ratio() const {
-  return chop_ratio(config_.cf, config_.block);
-}
-
-Shape DctChopCodec::compressed_shape(const Shape& input) const {
+Shape ChopFamilyCodec::compressed_shape(const Shape& input) const {
   if (input.rank() != 4) {
-    throw std::invalid_argument("DctChopCodec: input must be BCHW");
-  }
-  if (pinned_ &&
-      (input[2] != config_.height || input[3] != config_.width)) {
-    throw std::invalid_argument(
-        "DctChopCodec: codec compiled for " + std::to_string(config_.height) +
-        "x" + std::to_string(config_.width) + ", got " + input.to_string());
+    throw std::invalid_argument("DCT+Chop: input must be BCHW");
   }
   const std::size_t h = input[2];
   const std::size_t w = input[3];
-  if (h == 0 || w == 0 || h % config_.block != 0 || w % config_.block != 0) {
+  if (pinned_ && (h != chop_.height || w != chop_.width)) {
     throw std::invalid_argument(
-        "DctChopCodec: input height/width must be positive multiples of "
-        "block, got " +
-        input.to_string());
+        "DCT+Chop: codec compiled for " + std::to_string(chop_.height) + "x" +
+        std::to_string(chop_.width) + ", got " + input.to_string());
   }
-  const std::size_t ch = config_.cf * h / config_.block;
-  const std::size_t cw = config_.cf * w / config_.block;
-  return Shape::bchw(input[0], input[1], ch, cw);
+  // s×s chunks of whole blocks (s = 1: whole blocks).
+  const std::size_t s = subdivision_;
+  if (h == 0 || w == 0 || h % s != 0 || w % s != 0 ||
+      (h / s) % chop_.block != 0 || (w / s) % chop_.block != 0) {
+    throw std::invalid_argument(
+        "DCT+Chop: input height/width must be positive multiples of s·block "
+        "(s=" +
+        std::to_string(s) + ", block=" + std::to_string(chop_.block) +
+        "), got " + input.to_string());
+  }
+  return Shape::bchw(input[0], input[1], chop_.cf * h / chop_.block,
+                     chop_.cf * w / chop_.block);
 }
 
-Tensor DctChopCodec::compress(const Tensor& input) const {
+Tensor ChopFamilyCodec::compress(const Tensor& input) const {
   Tensor out;
   compress_into(input, out);
   return out;
 }
 
-void DctChopCodec::compress_into(const Tensor& input, Tensor& out) const {
+Tensor ChopFamilyCodec::decompress(const Tensor& packed,
+                                   const Shape& original) const {
+  Tensor out;
+  decompress_into(packed, original, out);
+  return out;
+}
+
+void ChopFamilyCodec::compress_into(const Tensor& input, Tensor& out) const {
   const Shape packed_shape = compressed_shape(input.shape());
   if (out.shape() != packed_shape) out = Tensor(packed_shape);
   compress_into(input.raw(), input.shape(), out.raw());
 }
 
-void DctChopCodec::compress_into(const float* in, const Shape& input,
-                                 float* out) const {
-  AIC_TRACE_SCOPE("codec.compress");
+void ChopFamilyCodec::decompress_into(const Tensor& packed,
+                                      const Shape& original,
+                                      Tensor& out) const {
+  const Shape packed_shape = compressed_shape(original);
+  if (packed.shape() != packed_shape) {
+    io::raise_corrupt(io::CorruptKind::kPayloadMismatch,
+                      name() + ": packed shape " + packed.shape().to_string() +
+                          " does not match " + packed_shape.to_string() +
+                          " for " + original.to_string());
+  }
+  if (out.shape() != original) out = Tensor(original);
+  decompress_into(packed.raw(), original, out.raw());
+}
+
+void ChopFamilyCodec::compress_into(const float* in, const Shape& input,
+                                    float* out) const {
+  AIC_TRACE_SCOPE(compress_stem_);
   // Route the plan executor's parallel_for (and nested gemms) onto this
   // codec's session pool.
   Context::PoolScope pool_scope(ctx_);
@@ -114,51 +116,81 @@ void DctChopCodec::compress_into(const float* in, const Shape& input,
   const std::size_t planes = input[0] * input[1];
   const std::size_t h = input[2];
   const std::size_t w = input[3];
-  plan_for(h, w)->compress_into(in, out, planes);
+  const std::size_t s = subdivision_;
+  transform_compress(*plan_for(h, w), in, out, planes);
   compress_series_.record(
-      planes, planes * flops_compress_hw(h, w, config_.cf, config_.block),
-      planes * flops_executed_hw(h, w, config_.cf, config_.block),
+      planes,
+      planes * s * s *
+          DctChopCodec::flops_compress_hw(h / s, w / s, chop_.cf, chop_.block),
+      planes * DctChopCodec::flops_executed_hw(h, w, chop_.cf, chop_.block),
       input.numel() * sizeof(float), packed_shape.numel() * sizeof(float),
       timer.nanos());
 }
 
-Tensor DctChopCodec::decompress(const Tensor& packed,
-                                const Shape& original) const {
-  Tensor out;
-  decompress_into(packed, original, out);
-  return out;
-}
-
-void DctChopCodec::decompress_into(const Tensor& packed,
-                                   const Shape& original, Tensor& out) const {
-  if (packed.shape() != compressed_shape(original)) {
-    // The packed tensor is decode-side input (it may come straight from
-    // an archive), so a mismatch is a data error, not a caller bug.
-    io::raise_corrupt(io::CorruptKind::kPayloadMismatch,
-                      "DctChopCodec: packed shape " +
-                          packed.shape().to_string() + " does not match " +
-                          compressed_shape(original).to_string() + " for " +
-                          original.to_string());
-  }
-  if (out.shape() != original) out = Tensor(original);
-  decompress_into(packed.raw(), original, out.raw());
-}
-
-void DctChopCodec::decompress_into(const float* packed, const Shape& original,
-                                   float* out) const {
-  AIC_TRACE_SCOPE("codec.decompress");
+void ChopFamilyCodec::decompress_into(const float* packed,
+                                      const Shape& original,
+                                      float* out) const {
+  AIC_TRACE_SCOPE(decompress_stem_);
   Context::PoolScope pool_scope(ctx_);
   runtime::Timer timer;
   const Shape packed_shape = compressed_shape(original);
   const std::size_t planes = original[0] * original[1];
   const std::size_t h = original[2];
   const std::size_t w = original[3];
-  plan_for(h, w)->decompress_into(packed, out, planes);
+  const std::size_t s = subdivision_;
+  transform_decompress(*plan_for(h, w), packed, out, planes);
   decompress_series_.record(
-      planes, planes * flops_decompress_hw(h, w, config_.cf, config_.block),
-      planes * flops_executed_hw(h, w, config_.cf, config_.block),
+      planes,
+      planes * s * s *
+          DctChopCodec::flops_decompress_hw(h / s, w / s, chop_.cf,
+                                            chop_.block),
+      planes * DctChopCodec::flops_executed_hw(h, w, chop_.cf, chop_.block),
       packed_shape.numel() * sizeof(float), original.numel() * sizeof(float),
       timer.nanos());
+}
+
+void ChopFamilyCodec::transform_compress(const DctChopPlan& plan,
+                                         const float* in, float* out,
+                                         std::size_t planes) const {
+  plan.compress_into(in, out, planes);
+}
+
+void ChopFamilyCodec::transform_decompress(const DctChopPlan& plan,
+                                           const float* packed, float* out,
+                                           std::size_t planes) const {
+  plan.decompress_into(packed, out, planes);
+}
+
+// ---------------------------------------------------------------------------
+// DctChopCodec
+
+DctChopCodec::DctChopCodec(DctChopConfig config, Context ctx)
+    : ChopFamilyCodec(config, /*subdivision=*/1, "codec.compress",
+                      "codec.decompress", std::move(ctx)) {}
+
+std::string DctChopCodec::name() const {
+  const DctChopConfig& c = config();
+  std::ostringstream out;
+  out << transform_name(c.transform) << "+chop(cf=" << c.cf
+      << ",block=" << c.block << ")";
+  return out.str();
+}
+
+std::string DctChopCodec::spec() const {
+  const DctChopConfig& c = config();
+  std::ostringstream out;
+  out << "dctchop:cf=" << c.cf << ",block=" << c.block;
+  if (c.transform != TransformKind::kDct2) {
+    out << ",transform=" << transform_name(c.transform);
+  }
+  if (pinned()) {
+    out << ",h=" << c.height << ",w=" << c.width;
+  }
+  return out.str();
+}
+
+double DctChopCodec::compression_ratio() const {
+  return chop_ratio(config().cf, config().block);
 }
 
 std::size_t DctChopCodec::flops_compress(std::size_t n, std::size_t cf,

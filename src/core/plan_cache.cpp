@@ -54,7 +54,7 @@ PlanCache::PlanCache(std::size_t byte_budget, bool publish_metrics,
 
 std::shared_ptr<const CodecPlan> PlanCache::resolve(const PlanKey& key,
                                                     const BuildFn& build) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     ++stats_.hits;
@@ -70,11 +70,9 @@ std::shared_ptr<const CodecPlan> PlanCache::resolve(const PlanKey& key,
   // which keeps plan_cache.build_count deterministic (it equals the
   // number of distinct keys ever requested) and spares concurrent
   // resolvers of the same key from duplicating the build.
-  // Nested resolves (partial → chunk) re-enter through the recursive
-  // mutex.
   runtime::Timer timer;
   std::shared_ptr<const CodecPlan> plan =
-      build ? build() : build_core_plan(key, *this);
+      build ? build() : build_core_plan(key);
   const std::uint64_t nanos = timer.nanos();
   if (!plan) {
     throw std::runtime_error("PlanCache: builder returned null for key " +
@@ -86,16 +84,10 @@ std::shared_ptr<const CodecPlan> PlanCache::resolve(const PlanKey& key,
     instruments_.build_ns->record(nanos);
   }
 
-  // A nested build may have inserted this key already (a composite plan
-  // whose builder resolves its own key would); keep the first insert.
-  auto [pos, inserted] = entries_.try_emplace(key);
-  if (!inserted) {
-    touch(pos->second);
-    return pos->second.plan;
-  }
+  const std::size_t bytes = plan->resident_bytes();
   lru_.push_front(key);
-  pos->second = Entry{plan, plan->resident_bytes(), lru_.begin()};
-  resident_bytes_ += pos->second.bytes;
+  entries_.emplace(key, Entry{plan, bytes, lru_.begin()});
+  resident_bytes_ += bytes;
   evict_to_budget();
   publish_resident_locked();
   return plan;
@@ -128,29 +120,29 @@ void PlanCache::publish_resident_locked() {
 }
 
 void PlanCache::set_byte_budget(std::size_t bytes) {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   byte_budget_ = bytes;
   evict_to_budget();
   publish_resident_locked();
 }
 
 std::size_t PlanCache::byte_budget() const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   return byte_budget_;
 }
 
 std::size_t PlanCache::resident_bytes() const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   return resident_bytes_;
 }
 
 std::size_t PlanCache::size() const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
 }
 
 void PlanCache::clear() {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
   lru_.clear();
   resident_bytes_ = 0;
@@ -158,7 +150,7 @@ void PlanCache::clear() {
 }
 
 PlanCache::Snapshot PlanCache::snapshot() const {
-  std::lock_guard<std::recursive_mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   Snapshot snap = stats_;
   snap.resident_bytes = resident_bytes_;
   snap.entries = entries_.size();
@@ -170,23 +162,6 @@ std::shared_ptr<const DctChopPlan> resolve_dct_chop_plan(
     std::size_t block, TransformKind transform) {
   const PlanKey key = dct_chop_plan_key(height, width, cf, block, transform);
   return std::static_pointer_cast<const DctChopPlan>(
-      PlanCache::of(ctx).resolve(key));
-}
-
-std::shared_ptr<const PartialSerialPlan> resolve_partial_serial_plan(
-    const Context& ctx, std::size_t height, std::size_t width, std::size_t cf,
-    std::size_t block, TransformKind transform, std::size_t subdivision) {
-  const PlanKey key = partial_serial_plan_key(height, width, cf, block,
-                                              transform, subdivision);
-  return std::static_pointer_cast<const PartialSerialPlan>(
-      PlanCache::of(ctx).resolve(key));
-}
-
-std::shared_ptr<const TrianglePlan> resolve_triangle_plan(
-    const Context& ctx, std::size_t height, std::size_t width, std::size_t cf,
-    std::size_t block, TransformKind transform) {
-  const PlanKey key = triangle_plan_key(height, width, cf, block, transform);
-  return std::static_pointer_cast<const TrianglePlan>(
       PlanCache::of(ctx).resolve(key));
 }
 

@@ -33,9 +33,9 @@ namespace aic::core {
 /// Thread safety: resolve() is fully synchronized; builds happen under
 /// the lock so a key is built exactly once (deterministic
 /// `plan_cache.build_count`) and concurrent resolvers of the same key
-/// block rather than duplicating work. The mutex is recursive because
-/// composite plans (partial serialization, triangle) resolve their
-/// chunk/inner plan through the cache from inside their own build.
+/// block rather than duplicating work. Plans are flat (every core codec
+/// runs one DctChopPlan), so no build resolves through the cache and the
+/// lock is a plain mutex.
 ///
 /// Evicted plans stay alive as long as any codec still holds the
 /// shared_ptr; eviction only drops the cache's reference.
@@ -56,9 +56,8 @@ class PlanCache {
                      const std::string& metric_prefix = {});
 
   /// Returns the cached plan for `key`, building it with `build` on a
-  /// miss. When `build` is empty, `build_core_plan(key, *this)` is used
-  /// (valid
-  /// for the core codec kinds only).
+  /// miss. When `build` is empty, `build_core_plan(key)` is used (valid
+  /// for kDctChop keys only).
   std::shared_ptr<const CodecPlan> resolve(const PlanKey& key,
                                            const BuildFn& build = {});
 
@@ -103,7 +102,7 @@ class PlanCache {
   void evict_to_budget();
   void publish_resident_locked();
 
-  mutable std::recursive_mutex mutex_;
+  mutable std::mutex mutex_;
   std::list<PlanKey> lru_;  // front = most recently used
   std::unordered_map<PlanKey, Entry, PlanKeyHash> entries_;
   std::size_t byte_budget_ = 0;
@@ -113,14 +112,8 @@ class PlanCache {
   Snapshot stats_;
 };
 
-/// Typed conveniences over PlanCache::of(ctx) for the core kinds.
+/// The DctChopPlan for one geometry, through PlanCache::of(ctx).
 std::shared_ptr<const DctChopPlan> resolve_dct_chop_plan(
-    const Context& ctx, std::size_t height, std::size_t width, std::size_t cf,
-    std::size_t block, TransformKind transform);
-std::shared_ptr<const PartialSerialPlan> resolve_partial_serial_plan(
-    const Context& ctx, std::size_t height, std::size_t width, std::size_t cf,
-    std::size_t block, TransformKind transform, std::size_t subdivision);
-std::shared_ptr<const TrianglePlan> resolve_triangle_plan(
     const Context& ctx, std::size_t height, std::size_t width, std::size_t cf,
     std::size_t block, TransformKind transform);
 

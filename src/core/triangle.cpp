@@ -1,145 +1,117 @@
 #include "core/triangle.hpp"
 
+#include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
-#include "core/plan_cache.hpp"
-#include "io/error.hpp"
-#include "obs/trace.hpp"
-#include "runtime/timer.hpp"
+#include "core/zigzag.hpp"
+#include "runtime/buffer_pool.hpp"
 
 namespace aic::core {
 
 using tensor::Shape;
-using tensor::Tensor;
 
 TriangleCodec::TriangleCodec(DctChopConfig config, Context ctx)
-    : Codec(std::move(ctx)),
-      config_(config),
-      compress_series_(ctx_, "sg.compress"),
-      decompress_series_(ctx_, "sg.decompress"),
-      inner_(std::make_unique<DctChopCodec>(config, ctx_)) {
-  per_block_ = config_.cf * (config_.cf + 1) / 2;
-  if (config_.height != 0 || config_.width != 0) {
-    pinned_ = resolve_triangle_plan(ctx_, config_.height, config_.width,
-                                    config_.cf, config_.block,
-                                    config_.transform);
+    : ChopFamilyCodec(config, /*subdivision=*/1, "sg.compress",
+                      "sg.decompress", std::move(ctx)) {
+  for (const std::size_t offset : triangle_indices(config.cf, config.cf)) {
+    cells_.push_back({offset / config.cf, offset % config.cf});
   }
-}
-
-std::shared_ptr<const TrianglePlan> TriangleCodec::plan_for(
-    std::size_t height, std::size_t width) const {
-  if (pinned_) {
-    if (height != config_.height || width != config_.width) {
-      throw std::invalid_argument(
-          "TriangleCodec: codec compiled for " +
-          std::to_string(config_.height) + "x" +
-          std::to_string(config_.width) + ", got " + std::to_string(height) +
-          "x" + std::to_string(width));
-    }
-    return pinned_;
-  }
-  return resolve_triangle_plan(ctx_, height, width, config_.cf, config_.block,
-                               config_.transform);
-}
-
-const std::vector<std::size_t>& TriangleCodec::plane_indices() const {
-  if (!pinned_) {
-    throw std::logic_error(
-        "TriangleCodec::plane_indices: shape-agnostic codec has one index "
-        "table per resolution");
-  }
-  return pinned_->plane_indices();
 }
 
 std::string TriangleCodec::name() const {
   std::ostringstream out;
-  out << "dct+chop+sg(cf=" << config_.cf << ")";
+  out << "dct+chop+sg(cf=" << config().cf << ")";
   return out.str();
 }
 
 std::string TriangleCodec::spec() const {
+  const DctChopConfig& c = config();
   std::ostringstream out;
-  out << "triangle:cf=" << config_.cf << ",block=" << config_.block;
-  if (config_.transform != TransformKind::kDct2) {
-    out << ",transform=" << transform_name(config_.transform);
+  out << "triangle:cf=" << c.cf << ",block=" << c.block;
+  if (c.transform != TransformKind::kDct2) {
+    out << ",transform=" << transform_name(c.transform);
   }
-  if (pinned_) {
-    out << ",h=" << config_.height << ",w=" << config_.width;
+  if (pinned()) {
+    out << ",h=" << c.height << ",w=" << c.width;
   }
   return out.str();
 }
 
 double TriangleCodec::compression_ratio() const {
-  return triangle_ratio(config_.cf, config_.block);
+  return triangle_ratio(config().cf, config().block);
 }
 
 Shape TriangleCodec::compressed_shape(const Shape& input) const {
-  // Validates rank, resolution and block-divisibility via the inner codec.
-  (void)inner_->compressed_shape(input);
-  const std::size_t blocks =
-      (input[2] / config_.block) * (input[3] / config_.block);
-  return Shape::bchw(input[0], input[1], blocks, per_block_);
+  const Shape chopped = ChopFamilyCodec::compressed_shape(input);
+  const std::size_t cf = config().cf;
+  const std::size_t blocks = (chopped[2] / cf) * (chopped[3] / cf);
+  return Shape::bchw(input[0], input[1], blocks, cells_.size());
 }
 
-Tensor TriangleCodec::compress(const Tensor& input) const {
-  Tensor out(compressed_shape(input.shape()));
-  compress_into(input.raw(), input.shape(), out.raw());
-  return out;
-}
+// The chopped planes of a call are contiguous and CF divides their
+// height, so one walk over every plane's block rows visits the blocks in
+// packed order.
 
-void TriangleCodec::compress_into(const float* in, const Shape& input,
-                                  float* out) const {
-  AIC_TRACE_SCOPE("sg.compress");
-  Context::PoolScope pool_scope(ctx_);
-  runtime::Timer timer;
-  const Shape packed_shape = compressed_shape(input);
-  const std::size_t planes = input[0] * input[1];
-  const std::size_t h = input[2];
-  const std::size_t w = input[3];
-  plan_for(h, w)->compress_into(in, out, planes);
-  compress_series_.record(
-      planes,
-      planes * DctChopCodec::flops_compress_hw(h, w, config_.cf,
-                                               config_.block),
-      planes * DctChopCodec::flops_executed_hw(h, w, config_.cf,
-                                               config_.block),
-      input.numel() * sizeof(float), packed_shape.numel() * sizeof(float),
-      timer.nanos());
-}
-
-Tensor TriangleCodec::decompress(const Tensor& packed,
-                                 const Shape& original) const {
-  if (packed.shape() != compressed_shape(original)) {
-    io::raise_corrupt(io::CorruptKind::kPayloadMismatch,
-                      "TriangleCodec: packed shape " +
-                          packed.shape().to_string() + " does not match " +
-                          compressed_shape(original).to_string() + " for " +
-                          original.to_string());
+void TriangleCodec::transform_compress(const DctChopPlan& plan,
+                                       const float* in, float* out,
+                                       std::size_t planes) const {
+  const std::size_t cf = config().cf;
+  const std::size_t rows = planes * cf * plan.key().height / config().block;
+  const std::size_t cw = cf * plan.key().width / config().block;
+  const runtime::BufferPool::Buffer chopped =
+      ctx_.buffer_pool().acquire(rows * cw * sizeof(float));
+  float* staged = reinterpret_cast<float*>(chopped.data());
+  plan.compress_into(in, staged, planes);
+  // torch.gather: packed[k] = chopped[index[k]].
+  for (std::size_t row = 0; row < rows; row += cf) {
+    for (std::size_t col = 0; col < cw; col += cf) {
+      const float* block = staged + row * cw + col;
+      for (const Cell& cell : cells_) *out++ = block[cell.row * cw + cell.col];
+    }
   }
-  Tensor out(original);
-  decompress_into(packed.raw(), original, out.raw());
-  return out;
 }
 
-void TriangleCodec::decompress_into(const float* packed,
-                                    const Shape& original, float* out) const {
-  AIC_TRACE_SCOPE("sg.decompress");
-  Context::PoolScope pool_scope(ctx_);
-  runtime::Timer timer;
-  const Shape packed_shape = compressed_shape(original);
-  const std::size_t planes = original[0] * original[1];
-  const std::size_t h = original[2];
-  const std::size_t w = original[3];
-  plan_for(h, w)->decompress_into(packed, out, planes);
-  decompress_series_.record(
-      planes,
-      planes * DctChopCodec::flops_decompress_hw(h, w, config_.cf,
-                                                 config_.block),
-      planes * DctChopCodec::flops_executed_hw(h, w, config_.cf,
-                                               config_.block),
-      packed_shape.numel() * sizeof(float), original.numel() * sizeof(float),
-      timer.nanos());
+void TriangleCodec::transform_decompress(const DctChopPlan& plan,
+                                         const float* packed, float* out,
+                                         std::size_t planes) const {
+  const std::size_t cf = config().cf;
+  const std::size_t rows = planes * cf * plan.key().height / config().block;
+  const std::size_t cw = cf * plan.key().width / config().block;
+  const runtime::BufferPool::Buffer chopped =
+      ctx_.buffer_pool().acquire(rows * cw * sizeof(float));
+  float* staged = reinterpret_cast<float*>(chopped.data());
+  // torch.scatter: chopped[index[k]] = packed[k]. Each block row is
+  // written whole, the chopped-away zeros included, so the recycled
+  // buffer needs no fill of its own.
+  for (std::size_t row = 0; row < rows; row += cf) {
+    float* block_row = staged + row * cw;
+    std::fill_n(block_row, cf * cw, 0.0f);
+    for (std::size_t col = 0; col < cw; col += cf) {
+      for (const Cell& cell : cells_) {
+        block_row[cell.row * cw + col + cell.col] = *packed++;
+      }
+    }
+  }
+  plan.decompress_into(staged, out, planes);
+}
+
+std::vector<std::size_t> triangle_plane_indices(std::size_t height,
+                                                std::size_t width,
+                                                std::size_t cf,
+                                                std::size_t block) {
+  const std::size_t ch = cf * (height / block);
+  const std::size_t cw = cf * (width / block);
+  const std::vector<std::size_t> offsets = triangle_indices(cf, cw);
+  std::vector<std::size_t> indices;
+  indices.reserve((ch / cf) * (cw / cf) * offsets.size());
+  for (std::size_t row = 0; row < ch; row += cf) {
+    for (std::size_t col = 0; col < cw; col += cf) {
+      for (const std::size_t offset : offsets) {
+        indices.push_back(row * cw + col + offset);
+      }
+    }
+  }
+  return indices;
 }
 
 }  // namespace aic::core

@@ -1,12 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
-#include "core/codec.hpp"
 #include "core/dct_chop.hpp"
-#include "core/plan.hpp"
 
 namespace aic::core {
 
@@ -20,10 +17,12 @@ namespace aic::core {
 /// before the DCT+Chop decompression. CR improves from 64/CF² to
 /// 64/(CF(CF+1)/2), a factor 2CF/(CF+1).
 ///
-/// The gather index tables and the inner chop operands live in a
-/// TrianglePlan shared through the PlanCache; the codec is the shell over
-/// it that records the `sg.compress` / `sg.decompress` registry series.
-class TriangleCodec final : public Codec {
+/// The codec runs the shared DctChopPlan into a chopped-layout buffer
+/// leased from its context's BufferPool and gathers in closed form:
+/// blocks row-major, then each block's triangle_indices offsets (the
+/// table triangle_plane_indices spells out). It records the
+/// `sg.compress` / `sg.decompress` registry series.
+class TriangleCodec final : public ChopFamilyCodec {
  public:
   explicit TriangleCodec(DctChopConfig config,
                          Context ctx = Context::process_default());
@@ -31,39 +30,35 @@ class TriangleCodec final : public Codec {
   std::string name() const override;
   std::string spec() const override;
   double compression_ratio() const override;
+  /// blocks × CF(CF+1)/2 per plane.
   tensor::Shape compressed_shape(const tensor::Shape& input) const override;
-  tensor::Tensor compress(const tensor::Tensor& input) const override;
-  tensor::Tensor decompress(const tensor::Tensor& packed,
-                            const tensor::Shape& original) const override;
-  using Codec::compress_into;
-  using Codec::decompress_into;
-  void compress_into(const float* in, const tensor::Shape& input,
-                     float* out) const override;
-  void decompress_into(const float* packed, const tensor::Shape& original,
-                       float* out) const override;
 
-  const DctChopConfig& config() const { return config_; }
-  bool pinned() const { return pinned_ != nullptr; }
-  /// The shared inner DCT+Chop codec configuration (same shape mode).
-  const DctChopCodec& inner() const { return *inner_; }
-
-  /// The compiled plan serving a h×w input.
-  std::shared_ptr<const TrianglePlan> plan_for(std::size_t height,
-                                               std::size_t width) const;
-
+  const DctChopConfig& config() const { return chop_config(); }
   /// Retained coefficients per block: CF(CF+1)/2.
-  std::size_t values_per_block() const { return per_block_; }
-  /// The compile-time gather index table for one chopped plane (pinned
-  /// codecs only — agnostic codecs hold one table per resolution).
-  const std::vector<std::size_t>& plane_indices() const;
+  std::size_t values_per_block() const { return cells_.size(); }
 
  private:
-  DctChopConfig config_;
-  CodecSeries compress_series_;
-  CodecSeries decompress_series_;
-  std::shared_ptr<const TrianglePlan> pinned_;  // null when shape-agnostic
-  std::unique_ptr<DctChopCodec> inner_;
-  std::size_t per_block_ = 0;
+  void transform_compress(const DctChopPlan& plan, const float* in,
+                          float* out, std::size_t planes) const override;
+  void transform_decompress(const DctChopPlan& plan, const float* packed,
+                            float* out, std::size_t planes) const override;
+
+  /// Row and column of each retained coefficient within a CF×CF block,
+  /// in triangle_indices' zig-zag order.
+  struct Cell {
+    std::size_t row;
+    std::size_t col;
+  };
+  std::vector<Cell> cells_;
 };
+
+/// The gather table of one chopped plane of a height×width input
+/// (§3.5.2): for every block, row-major, the triangle_indices offsets at
+/// the block's base, CF(CF+1)/2 per block. TriangleCodec packs in this
+/// order; the graph builders gather and scatter with it.
+std::vector<std::size_t> triangle_plane_indices(std::size_t height,
+                                                std::size_t width,
+                                                std::size_t cf,
+                                                std::size_t block);
 
 }  // namespace aic::core

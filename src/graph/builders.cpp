@@ -1,8 +1,8 @@
 #include "graph/builders.hpp"
 
-#include <memory>
+#include <vector>
 
-#include "core/plan_cache.hpp"
+#include "core/triangle.hpp"
 #include "tensor/shape.hpp"
 
 namespace aic::graph {
@@ -66,20 +66,8 @@ Graph build_decompress_graph(const core::DctChopConfig& config,
   return g;
 }
 
-namespace {
-
-std::shared_ptr<const core::TrianglePlan> resolve_triangle(
-    const core::DctChopConfig& c, const Context& ctx) {
-  return core::resolve_triangle_plan(ctx, c.height, c.width, c.cf, c.block,
-                                     c.transform);
-}
-
-}  // namespace
-
 Graph build_triangle_compress_graph(const core::DctChopConfig& config,
-                                    const BatchSpec& spec,
-                                    const Context& ctx) {
-  const auto plan = resolve_triangle(config, ctx);
+                                    const BatchSpec& spec) {
   const std::size_t planes = spec.batch * spec.channels;
   const std::size_t ch = config.cf * config.height / config.block;
   const std::size_t cw = config.cf * config.width / config.block;
@@ -93,22 +81,22 @@ Graph build_triangle_compress_graph(const core::DctChopConfig& config,
       g.matmul(flat, g.constant(rhs_for(config, config.width)));
   const NodeId packed =
       g.matmul(g.constant(lhs_for(config, config.height)), mid);
-  // torch.gather with compile-time triangle indices (§3.5.2), shared
-  // with the codec executors through the TrianglePlan.
+  // torch.gather with compile-time triangle indices (§3.5.2).
   const NodeId rows = g.reshape(packed, Shape({planes, 1, ch * cw}));
-  const NodeId gathered = g.gather(rows, plan->plane_indices());
+  const NodeId gathered = g.gather(
+      rows, core::triangle_plane_indices(config.height, config.width,
+                                         config.cf, config.block));
   g.mark_output(gathered);
   return g;
 }
 
 Graph build_triangle_decompress_graph(const core::DctChopConfig& config,
-                                      const BatchSpec& spec,
-                                      const Context& ctx) {
-  const auto plan = resolve_triangle(config, ctx);
+                                      const BatchSpec& spec) {
   const std::size_t planes = spec.batch * spec.channels;
   const std::size_t ch = config.cf * config.height / config.block;
   const std::size_t cw = config.cf * config.width / config.block;
-  const std::vector<std::size_t>& indices = plan->plane_indices();
+  const std::vector<std::size_t> indices = core::triangle_plane_indices(
+      config.height, config.width, config.cf, config.block);
 
   Graph g;
   const NodeId in = g.input(Shape({planes, 1, indices.size()}));

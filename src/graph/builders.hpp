@@ -28,15 +28,14 @@ Graph build_decompress_graph(const core::DctChopConfig& config,
                              const BatchSpec& spec);
 
 /// Compression followed by the §3.5.2 triangle gather (IPU variant). The
-/// gather indices come from `ctx`'s PlanCache (the TrianglePlan).
-Graph build_triangle_compress_graph(
-    const core::DctChopConfig& config, const BatchSpec& spec,
-    const Context& ctx = Context::process_default());
+/// gather indices are core::triangle_plane_indices, the order
+/// TriangleCodec packs in.
+Graph build_triangle_compress_graph(const core::DctChopConfig& config,
+                                    const BatchSpec& spec);
 
 /// Triangle scatter followed by decompression (IPU variant).
-Graph build_triangle_decompress_graph(
-    const core::DctChopConfig& config, const BatchSpec& spec,
-    const Context& ctx = Context::process_default());
+Graph build_triangle_decompress_graph(const core::DctChopConfig& config,
+                                      const BatchSpec& spec);
 
 /// A representative variable-length-encoding fragment (quantize, bit
 /// shifts, masks — the guts of RLE/Huffman stages). Exists to be *fed to

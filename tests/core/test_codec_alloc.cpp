@@ -1,16 +1,18 @@
 // Steady-state allocation gate of the codec transform: once warm, a
-// DctChopCodec compress_into / decompress_into pair on a 1024² batch
-// (whole tensors, or a plane range of caller memory) makes no heap
-// allocation of 1 KiB or more, at pool sizes 1 and 4.
+// compress_into / decompress_into pair of each archive codec (dctchop,
+// triangle, partial) on a 1024² batch (whole tensors, or a plane range
+// of caller memory) makes no heap allocation of 1 KiB or more, at pool
+// sizes 1 and 4.
 // Links aic_memprobe, which counts every operator new of this binary
 // (pool workers included).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
-#include "core/dct_chop.hpp"
+#include "core/codec_factory.hpp"
 #include "runtime/context.hpp"
 #include "runtime/rng.hpp"
 #include "support/memory_probe.hpp"
@@ -21,14 +23,31 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-class CodecAllocations : public ::testing::TestWithParam<std::size_t> {};
+struct AllocCase {
+  const char* spec;
+  std::size_t threads;
+};
+
+// The instantiation names the codec; the test name carries the pool size.
+void PrintTo(const AllocCase& c, std::ostream* os) { *os << c.threads; }
+
+class CodecAllocations : public ::testing::TestWithParam<AllocCase> {
+ protected:
+  Context make_context() const {
+    Context::Options options;
+    options.threads = GetParam().threads;
+    options.own_pool = true;
+    return Context(options);
+  }
+  CodecPtr make(const Context& ctx) const {
+    return make_codec(GetParam().spec, ctx);
+  }
+};
 
 TEST_P(CodecAllocations, WarmTransformMakesNoLargeAllocations) {
-  Context::Options options;
-  options.threads = GetParam();
-  options.own_pool = true;
-  const Context ctx(options);
-  const DctChopCodec codec({.cf = 4, .block = 8}, ctx);
+  const Context ctx = make_context();
+  const CodecPtr owner = make(ctx);
+  const Codec& codec = *owner;
   runtime::Rng rng(17);
   const Tensor in =
       Tensor::uniform(Shape::bchw(1, 3, 1024, 1024), rng, -1.0f, 1.0f);
@@ -54,20 +73,18 @@ TEST_P(CodecAllocations, WarmPlaneRangeTransformMakesNoLargeAllocations) {
   // batch whose floats start 44 bytes into a buffer, like the data of a
   // mapped .aict. They allocate nothing once warm and give the bytes of
   // the whole-tensor calls.
-  Context::Options options;
-  options.threads = GetParam();
-  options.own_pool = true;
-  const Context ctx(options);
-  const DctChopCodec codec({.cf = 4, .block = 8}, ctx);
+  const Context ctx = make_context();
+  const CodecPtr owner = make(ctx);
+  const Codec& codec = *owner;
   runtime::Rng rng(19);
   const Tensor in =
       Tensor::uniform(Shape::bchw(1, 3, 1024, 1024), rng, -1.0f, 1.0f);
   const std::size_t plane = 1024 * 1024;
-  const std::size_t packed_plane = 512 * 512;
+  const Shape range = Shape::bchw(1, 2, 1024, 1024);
+  const std::size_t packed_plane = codec.compressed_shape(range).numel() / 2;
   std::vector<float> file(11 + in.numel());
   std::copy_n(in.raw(), in.numel(), file.data() + 11);
   const float* planes = file.data() + 11 + plane;
-  const Shape range = Shape::bchw(1, 2, 1024, 1024);
   std::vector<float> packed(2 * packed_plane);
   std::vector<float> restored(2 * plane);
   codec.compress_into(planes, range, packed.data());
@@ -91,8 +108,18 @@ TEST_P(CodecAllocations, WarmPlaneRangeTransformMakesNoLargeAllocations) {
                          whole_restored.raw() + plane));
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolSizes, CodecAllocations,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+INSTANTIATE_TEST_SUITE_P(
+    PoolSizes, CodecAllocations,
+    ::testing::Values(AllocCase{"dctchop:cf=4,block=8", 1},
+                      AllocCase{"dctchop:cf=4,block=8", 4}));
+INSTANTIATE_TEST_SUITE_P(
+    TrianglePoolSizes, CodecAllocations,
+    ::testing::Values(AllocCase{"triangle:cf=4,block=8", 1},
+                      AllocCase{"triangle:cf=4,block=8", 4}));
+INSTANTIATE_TEST_SUITE_P(
+    PartialPoolSizes, CodecAllocations,
+    ::testing::Values(AllocCase{"partial:cf=4,block=8,s=2", 1},
+                      AllocCase{"partial:cf=4,block=8,s=2", 4}));
 
 }  // namespace
 }  // namespace aic::core

@@ -91,17 +91,25 @@ TEST(PartialSerial, NonSquareRoundTripMatchesPlainCodec) {
 }
 
 TEST(PartialSerial, ChunkCopiesAreExact) {
-  // The memcpy-based chunk scatter/gather must be a pure permutation:
-  // at s=1 it degenerates to an identity copy around the plain codec.
+  // The s×s chunked schedule computes the bits of one full-resolution
+  // DCT+Chop call, in both directions, for every s.
   runtime::Rng rng(4);
-  const PartialSerialCodec ps(
-      {.height = 16, .width = 48, .cf = 8, .block = 8, .subdivision = 1});
-  const DctChopCodec plain({.height = 16, .width = 48, .cf = 8, .block = 8});
-  const Tensor in = Tensor::uniform(Shape::bchw(2, 1, 16, 48), rng);
-  const Tensor a = ps.compress(in);
-  const Tensor b = plain.compress(in);
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a.at(i), b.at(i)) << "flat index " << i;
+  for (std::size_t s : {1u, 2u, 4u}) {
+    const PartialSerialCodec ps(
+        {.height = 32, .width = 64, .cf = 8, .block = 8, .subdivision = s});
+    const DctChopCodec plain({.height = 32, .width = 64, .cf = 8, .block = 8});
+    const Tensor in = Tensor::uniform(Shape::bchw(2, 1, 32, 64), rng);
+    const Tensor a = ps.compress(in);
+    const Tensor b = plain.compress(in);
+    ASSERT_EQ(a.shape(), b.shape()) << "s=" << s;
+    for (std::size_t i = 0; i < a.numel(); ++i) {
+      ASSERT_EQ(a.at(i), b.at(i)) << "s=" << s << " flat index " << i;
+    }
+    const Tensor ra = ps.decompress(a, in.shape());
+    const Tensor rb = plain.decompress(b, in.shape());
+    for (std::size_t i = 0; i < ra.numel(); ++i) {
+      ASSERT_EQ(ra.at(i), rb.at(i)) << "s=" << s << " restored index " << i;
+    }
   }
 }
 

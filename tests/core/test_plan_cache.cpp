@@ -104,9 +104,8 @@ TEST_P(PlanParity, FreshVsCacheHitDctChopSquareAndRect) {
         dct_chop_plan_key(d.h, d.w, cf, 8, TransformKind::kDct2);
     // Fresh: built directly, never cached. Cached: through the global
     // cache (a hit on every run after the first resolve).
-    PlanCache scratch(/*byte_budget=*/0);
-    const auto fresh = std::static_pointer_cast<const DctChopPlan>(
-        build_core_plan(key, scratch));
+    const auto fresh =
+        std::static_pointer_cast<const DctChopPlan>(build_core_plan(key));
     const auto cached = resolve_dct_chop_plan(Context::process_default(), d.h,
                                               d.w, cf, 8, TransformKind::kDct2);
     const Tensor in = Tensor::uniform(Shape::bchw(2, 3, d.h, d.w), rng,
@@ -297,29 +296,6 @@ TEST(PlanCacheProcessDefault, MixedShapeSteadyStateBuildsStayFlat) {
   EXPECT_EQ(after.builds, builds)
       << "cache-hit compress must construct zero operands";
   EXPECT_GE(after.hits, 10u);
-}
-
-// --- workspace accounting (partial serializer satellite) ---
-
-TEST(PlanWorkspace, PartialSerialReportsFullWorkingSet) {
-  const auto plan = resolve_partial_serial_plan(
-      Context::process_default(), 32, 32, 4, 8, TransformKind::kDct2, 2);
-  const std::size_t batch = 3, channels = 2;
-  const std::size_t planes = batch * channels;
-  // s=2 on 32×32 -> 16×16 chunks, chopped to 8×8 at cf=4/block=8.
-  const std::size_t staging =
-      planes * (16 * 16 + 8 * 8) * sizeof(float);
-  const std::size_t chunk_ws =
-      plan->chunk_plan().workspace_bytes(batch, channels);
-  EXPECT_EQ(plan->workspace_bytes(batch, channels), staging + chunk_ws);
-  // Strictly more than the chunk executor alone: the old accounting
-  // (chunk lhs+rhs bytes only) ignored the staging tensors entirely.
-  EXPECT_GT(plan->workspace_bytes(batch, channels), chunk_ws);
-
-  const PartialSerialCodec codec(
-      {.height = 32, .width = 32, .cf = 4, .block = 8, .subdivision = 2});
-  EXPECT_EQ(codec.workspace_bytes(batch, channels),
-            plan->workspace_bytes(batch, channels));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/chop.hpp"
 #include "core/partial_serializer.hpp"
 #include "core/plan_cache.hpp"
+#include "core/triangle.hpp"
 #include "runtime/cpu_features.hpp"
 #include "runtime/rng.hpp"
 #include "tensor/matmul.hpp"
@@ -76,8 +77,7 @@ struct Outputs {
 };
 
 // Compress then decompress through the codec kind's executor: the
-// DctChopPlan and TrianglePlan directly, the PartialSerialPlan through
-// the codec that walks its chunks.
+// DctChopPlan directly, partial and triangle through their codecs.
 Outputs run(Kind kind, const Tensor& in, std::size_t cf) {
   const Context ctx = Context::process_default();
   const std::size_t h = in.shape()[2], w = in.shape()[3];
@@ -100,11 +100,9 @@ Outputs run(Kind kind, const Tensor& in, std::size_t cf) {
       break;
     }
     case Kind::kTriangle: {
-      const auto plan = resolve_triangle_plan(ctx, h, w, cf, kBlock,
-                                              TransformKind::kDct2);
-      out.packed = Tensor(plan->packed_shape(in.shape()));
-      plan->compress_into(in, out.packed);
-      plan->decompress_into(out.packed, out.restored);
+      const TriangleCodec codec({.cf = cf, .block = kBlock}, ctx);
+      out.packed = codec.compress(in);
+      out.restored = codec.decompress(out.packed, in.shape());
       break;
     }
   }
@@ -114,9 +112,7 @@ Outputs run(Kind kind, const Tensor& in, std::size_t cf) {
 // The triangle kinds' gather table for one plane (empty otherwise).
 std::vector<std::size_t> gather_indices(Kind kind, Dims d, std::size_t cf) {
   if (kind != Kind::kTriangle) return {};
-  return resolve_triangle_plan(Context::process_default(), d.h, d.w, cf,
-                               kBlock, TransformKind::kDct2)
-      ->plane_indices();
+  return triangle_plane_indices(d.h, d.w, cf, kBlock);
 }
 
 // Flat values of plane p of a rank-4 tensor.
