@@ -58,8 +58,8 @@ int main() {
   for (std::size_t i = 0; i < restored_batches.size(); ++i) {
     const cli::Archive archive = cli::load_archive(
         (dir / ("batch" + std::to_string(i) + ".aicz")).string());
-    restored_batches[i].input = cli::make_archive_codec(archive)->decompress(
-        archive.packed, archive.original_shape);
+    restored_batches[i].input =
+        archive.codec->decompress(archive.packed, archive.original_shape);
   }
 
   // --- 3. train on pristine vs reconstructed data ---

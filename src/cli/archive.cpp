@@ -8,8 +8,6 @@
 #include <fstream>
 #include <functional>
 #include <future>
-#include <istream>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -167,21 +165,18 @@ void check_header_crc(std::string_view header, std::uint32_t stored) {
   }
 }
 
-/// The compressed shape the header's codec promises, and (when `codec`
-/// is non-null) the pinned codec itself, built once here for the whole
-/// decode. Building it allocates nothing sized by the header dims: every
-/// chop-family codec holds one CF×block tile pair whatever H and W are,
-/// so a mutated-but-plausible dim cannot force a large allocation before
-/// the payload is checked against the promised shape. Factory/shape
-/// errors here are data errors (the header is attacker controlled), so
-/// they surface as CorruptStream, not invalid_argument.
-Shape expected_compressed_shape(const Archive& archive, const Context& ctx,
-                                core::CodecPtr* codec) {
+/// The compressed shape the header's codec promises. The pinned codec
+/// itself goes to `archive.codec`, built once here for the whole decode.
+/// Building it allocates nothing sized by the header dims: every
+/// chop-family codec holds one CF×block tile whatever H and W are, so a
+/// mutated-but-plausible dim cannot force a large allocation before the
+/// payload is checked against the promised shape. Factory/shape errors
+/// here are data errors (the header is attacker controlled), so they
+/// surface as CorruptStream, not invalid_argument.
+Shape expected_compressed_shape(Archive& archive, const Context& ctx) {
   try {
-    core::CodecPtr built = make_archive_codec(archive, ctx);
-    Shape shape = built->compressed_shape(archive.original_shape);
-    if (codec != nullptr) *codec = std::move(built);
-    return shape;
+    archive.codec = make_archive_codec(archive, ctx);
+    return archive.codec->compressed_shape(archive.original_shape);
   } catch (const io::CorruptStream&) {
     throw;
   } catch (const std::exception& error) {
@@ -598,12 +593,6 @@ std::size_t compress_to(const float* input, const Shape& shape,
 
 // --- v4 reader ------------------------------------------------------------
 
-/// Encoded-chunk batch budget of the istream reader: chunks are staged
-/// and decoded in runs of roughly this many encoded bytes, which bounds
-/// resident memory while keeping enough chunks per batch to feed the
-/// pool.
-constexpr std::size_t kStreamBatchBytes = std::size_t{4} << 20;
-
 struct ChunkEntry {
   std::uint64_t offset = 0;  // into the encoded region
   std::uint64_t encoded_len = 0;
@@ -613,14 +602,15 @@ struct ChunkEntry {
 /// Parsed + fully validated v4 geometry: everything the decode needs
 /// before any payload byte is touched.
 struct V4Layout {
-  Archive archive;  // packed left empty until the payload decodes
-  core::CodecPtr codec;  // the pinned codec the header describes
+  Archive archive;  // codec set; packed left empty until the payload decodes
   Shape expected_shape;
+  std::size_t tensor_header_bytes = 0;  // of expected_shape's tensor header
   std::uint64_t payload_len = 0;
   std::uint64_t chunk_bytes = 0;
   std::uint32_t chunk_count = 0;
   std::vector<ChunkEntry> table;
   std::uint64_t encoded_total = 0;
+  std::string_view encoded;  // the encoded chunks, encoded_total bytes
 };
 
 /// Validates a v4 header (CRC gate, field ranges, payload/codec
@@ -639,8 +629,7 @@ V4Layout parse_v4_layout(std::string_view header, std::uint32_t header_crc,
 
   // The payload length is fully determined by the (CRC-gated) codec
   // fields, so it is checked against them rather than trusted.
-  layout.expected_shape =
-      expected_compressed_shape(layout.archive, ctx, &layout.codec);
+  layout.expected_shape = expected_compressed_shape(layout.archive, ctx);
   const std::size_t expected_payload =
       io::serialized_tensor_bytes(layout.expected_shape);
   if (layout.payload_len != expected_payload) {
@@ -650,6 +639,8 @@ V4Layout parse_v4_layout(std::string_view header, std::uint32_t header_crc,
                       " payload bytes, codec promises " +
                       std::to_string(expected_payload));
   }
+  layout.tensor_header_bytes =
+      expected_payload - layout.expected_shape.numel() * sizeof(float);
   if (layout.chunk_bytes == 0 || layout.chunk_bytes > kMaxChunkBytes) {
     raise_corrupt(CorruptKind::kBadHeaderField,
                   "archive: chunk size " + std::to_string(layout.chunk_bytes) +
@@ -697,19 +688,39 @@ V4Layout parse_v4_layout(std::string_view header, std::uint32_t header_crc,
   return layout;
 }
 
+/// Reads a v4 container held whole in `reader` (after its prologue): the
+/// validated layout over the encoded chunks that follow its header.
+V4Layout open_v4(io::ByteReader& reader, const Context& ctx) {
+  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
+  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
+  const std::string_view header =
+      reader.read_bytes(header_len, "header fields");
+  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
+  layout.encoded = reader.rest();
+  if (layout.encoded.size() != layout.encoded_total) {
+    raise_corrupt(CorruptKind::kTruncated,
+                  "archive: chunk table promises " +
+                      std::to_string(layout.encoded_total) +
+                      " encoded bytes, stream has " +
+                      std::to_string(layout.encoded.size()));
+  }
+  return layout;
+}
+
 /// CRC-checks and entropy-decodes chunk `i` into `dest` (which must hold
 /// the chunk's plain_len bytes).
-void decode_one_chunk(const V4Layout& layout, std::size_t i,
-                      std::string_view chunk, char* dest) {
+void decode_one_chunk(const V4Layout& layout, std::size_t i, char* dest) {
   AIC_TRACE_SCOPE("pipeline.chunk_decode");
   runtime::Timer timer;
+  const ChunkEntry& entry = layout.table[i];
+  const std::string_view chunk =
+      layout.encoded.substr(entry.offset, entry.encoded_len);
   const std::uint32_t computed = io::crc32c(chunk.data(), chunk.size());
-  if (computed != layout.table[i].crc) {
+  if (computed != entry.crc) {
     raise_corrupt(CorruptKind::kChecksumMismatch,
                   "archive: chunk " + std::to_string(i) +
-                      " CRC mismatch (stored " +
-                      std::to_string(layout.table[i].crc) + ", computed " +
-                      std::to_string(computed) + ")");
+                      " CRC mismatch (stored " + std::to_string(entry.crc) +
+                      ", computed " + std::to_string(computed) + ")");
   }
   const std::size_t lo = i * layout.chunk_bytes;
   const std::size_t plain_len =
@@ -718,141 +729,105 @@ void decode_one_chunk(const V4Layout& layout, std::size_t i,
   obs::PipelineMetrics::global().record_chunk_decoded(timer.nanos());
 }
 
-/// Where a v4 decode gets its encoded chunks: `read(offset, len)` returns
-/// the next `len` encoded bytes, which start `offset` bytes into the
-/// encoded region and directly follow the previous read; the view stays
-/// valid until the next call. A decode batch (one parallel_for) spans at
-/// most `batch_bytes` encoded bytes, or one chunk.
-struct ChunkSource {
-  std::uint64_t batch_bytes;
-  std::function<std::string_view(std::uint64_t, std::uint64_t)> read;
-};
-
-/// The one v4 decode core: decodes the payload front to back into caller
-/// memory. The leading chunks covering the serialized tensor header
-/// decode serially (the header must be parsed, and tensor_io's typed
-/// errors come before the archive-level shape check); every later chunk
-/// CRC-checks and entropy-decodes in parallel, batch by batch, straight
-/// into the caller's storage — the payload never materializes as a
-/// separate heap string. Batches run in chunk order and the lowest
-/// failing chunk of a batch wins, so the first rejected chunk is the
-/// lowest failing one of the whole payload, however the caller splits
-/// the decode.
+/// The one v4 decode core: each call CRC-checks and entropy-decodes every
+/// chunk it still needs in one parallel_for, straight into caller memory
+/// (the payload never materializes as a separate heap string). The first
+/// call also decodes the leading chunks that hold the serialized tensor
+/// header, into a contiguous prefix, and checks that header. Rejections
+/// surface in the order of a front-to-back serial decode: the lowest
+/// failing header chunk, then the tensor header's typed errors and the
+/// archive-level shape check, then the lowest failing later chunk.
 class PayloadDecoder {
  public:
-  PayloadDecoder(const V4Layout& layout, const ChunkSource& source)
-      : layout_(layout), source_(source) {
+  explicit PayloadDecoder(const V4Layout& layout) : layout_(layout) {
+    // The prefix covers the longest possible tensor header, so a header
+    // that claims another rank fails with the errors deserialize_tensor
+    // raises.
     const std::size_t prefix = std::min<std::size_t>(
         layout.payload_len, io::max_tensor_header_bytes());
-    next_ = (prefix + layout.chunk_bytes - 1) / layout.chunk_bytes;
+    header_chunks_ = (prefix + layout.chunk_bytes - 1) / layout.chunk_bytes;
     prefix_bytes_ = std::min<std::size_t>(layout.payload_len,
-                                          next_ * layout.chunk_bytes);
+                                          header_chunks_ * layout.chunk_bytes);
   }
 
-  /// Bytes read_header writes: the payload's leading whole chunks.
+  /// Bytes of the header prefix: the payload's leading whole chunks.
   std::size_t prefix_bytes() const { return prefix_bytes_; }
 
-  /// Decodes the leading chunks into `dest` (prefix_bytes() bytes), then
-  /// parses the tensor header they hold and checks its shape against the
-  /// one the header codec promises.
-  io::TensorHeaderInfo read_header(char* dest) {
-    const std::string_view run = read_run(0, next_);
-    for (std::size_t i = 0; i < next_; ++i) {
-      decode_one_chunk(layout_, i, chunk_in(run, 0, i),
-                       dest + i * layout_.chunk_bytes);
-    }
-    const io::TensorHeaderInfo info = io::parse_tensor_header(
-        std::string_view(dest, prefix_bytes_), layout_.payload_len);
-    validate_payload_shape(info.shape, layout_.expected_shape);
-    return info;
-  }
-
-  /// Payload bytes decoded so far (read_header's included).
+  /// Payload bytes decoded so far.
   std::uint64_t decoded() const {
     return std::min<std::uint64_t>(layout_.payload_len,
                                    next_ * layout_.chunk_bytes);
   }
 
   /// Decodes every remaining chunk up to the one holding payload byte
-  /// `end - 1`. Payload byte x lands at dest[x - dest_offset].
-  void decode_through(std::uint64_t end, char* dest,
+  /// `end - 1`, and on the first call at least the header chunks. Those
+  /// land in `prefix` (prefix_bytes() bytes); payload byte x of any later
+  /// chunk lands at dest[x - dest_offset].
+  void decode_through(std::uint64_t end, char* prefix, char* dest,
                       std::uint64_t dest_offset) {
     const std::size_t chunk_bytes = layout_.chunk_bytes;
-    const std::size_t stop = static_cast<std::size_t>(
-        std::min<std::uint64_t>(layout_.chunk_count,
-                                (end + chunk_bytes - 1) / chunk_bytes));
-    while (next_ < stop) {
-      const std::size_t first = next_;
-      std::size_t last = first + 1;
-      std::uint64_t batch = layout_.table[first].encoded_len;
-      while (last < stop &&
-             batch + layout_.table[last].encoded_len <= source_.batch_bytes) {
-        batch += layout_.table[last++].encoded_len;
+    const std::size_t first = next_;
+    const std::size_t stop = std::max<std::size_t>(
+        header_chunks_,
+        static_cast<std::size_t>(std::min<std::uint64_t>(
+            layout_.chunk_count, (end + chunk_bytes - 1) / chunk_bytes)));
+    if (stop <= first) return;
+    // A rejected chunk's error comes back to this thread as a copy, not
+    // through the pool's exception_ptr, whose uninstrumented refcount
+    // ThreadSanitizer reports as a race.
+    std::vector<std::optional<io::CorruptStream>> rejected(stop - first);
+    runtime::parallel_for(
+        first, stop,
+        [&](std::size_t i) {
+          try {
+            decode_one_chunk(layout_, i,
+                             i < header_chunks_
+                                 ? prefix + i * chunk_bytes
+                                 : dest + (i * chunk_bytes - dest_offset));
+          } catch (const io::CorruptStream& error) {
+            rejected[i - first] = error;
+          }
+        },
+        {.grain = 1});
+    next_ = stop;
+    const auto raise_lowest = [&](std::size_t from, std::size_t to) {
+      for (std::size_t i = from; i < to; ++i) {
+        if (rejected[i - first]) throw *rejected[i - first];
       }
-      const std::string_view run = read_run(first, last);
-      // A rejected chunk's error comes back to this thread as a copy, not
-      // through the pool's exception_ptr, whose uninstrumented refcount
-      // ThreadSanitizer reports as a race; the lowest failing index wins.
-      std::vector<std::optional<io::CorruptStream>> rejected(last - first);
-      runtime::parallel_for(
-          first, last,
-          [&](std::size_t i) {
-            try {
-              decode_one_chunk(layout_, i, chunk_in(run, first, i),
-                               dest + (i * chunk_bytes - dest_offset));
-            } catch (const io::CorruptStream& error) {
-              rejected[i - first] = error;
-            }
-          },
-          {.grain = 1});
-      for (const std::optional<io::CorruptStream>& error : rejected) {
-        if (error) throw *error;
-      }
-      next_ = last;
+    };
+    if (first == 0) {
+      raise_lowest(0, header_chunks_);
+      const io::TensorHeaderInfo info = io::parse_tensor_header(
+          std::string_view(prefix, prefix_bytes_), layout_.payload_len);
+      validate_payload_shape(info.shape, layout_.expected_shape);
     }
+    raise_lowest(std::max(first, header_chunks_), stop);
   }
 
  private:
-  std::string_view chunk_in(std::string_view run, std::size_t first,
-                            std::size_t i) const {
-    const ChunkEntry& entry = layout_.table[i];
-    return run.substr(entry.offset - layout_.table[first].offset,
-                      entry.encoded_len);
-  }
-
-  std::string_view read_run(std::size_t first, std::size_t last) const {
-    const std::uint64_t end = last < layout_.chunk_count
-                                  ? layout_.table[last].offset
-                                  : layout_.encoded_total;
-    return source_.read(layout_.table[first].offset,
-                        end - layout_.table[first].offset);
-  }
-
   const V4Layout& layout_;
-  const ChunkSource& source_;
-  std::size_t next_ = 0;  // first chunk not yet decoded
+  std::size_t header_chunks_ = 0;
   std::size_t prefix_bytes_ = 0;
+  std::size_t next_ = 0;  // first chunk not yet decoded
 };
 
-/// Decodes a whole v4 payload into the archive's packed tensor.
-Archive decode_v4(V4Layout&& layout, const ChunkSource& source,
-                  const Context& ctx) {
+/// Decodes a whole v4 payload into the archive's packed tensor in one
+/// pass: the tensor is allocated from the header-checked shape up front,
+/// the header chunks decode into a pooled bounce buffer and every other
+/// chunk straight into the tensor.
+Archive decode_v4(V4Layout&& layout, const Context& ctx) {
   AIC_TRACE_SCOPE("pipeline.decode_v4");
   Context::PoolScope pool_scope(ctx);
-  PayloadDecoder decoder(layout, source);
-  Tensor packed;
-  std::size_t header_bytes = 0;
-  {
-    runtime::BufferPool::Buffer bounce =
-        ctx.buffer_pool().acquire(decoder.prefix_bytes());
-    const io::TensorHeaderInfo info = decoder.read_header(bounce.data());
-    packed = Tensor(info.shape);
-    header_bytes = info.header_bytes;
-    std::memcpy(packed.raw(), bounce.data() + header_bytes,
-                decoder.prefix_bytes() - header_bytes);
-  }
-  decoder.decode_through(layout.payload_len,
-                         reinterpret_cast<char*>(packed.raw()), header_bytes);
+  PayloadDecoder decoder(layout);
+  Tensor packed(layout.expected_shape);
+  char* data = reinterpret_cast<char*>(packed.raw());
+  const std::size_t header_bytes = layout.tensor_header_bytes;
+  runtime::BufferPool::Buffer bounce =
+      ctx.buffer_pool().acquire(decoder.prefix_bytes());
+  decoder.decode_through(layout.payload_len, bounce.data(), data,
+                         header_bytes);
+  std::memcpy(data, bounce.data() + header_bytes,
+              decoder.prefix_bytes() - header_bytes);
   obs::PipelineMetrics::global().record_archive_layout(layout.chunk_bytes,
                                                        layout.chunk_count);
   layout.archive.packed = std::move(packed);
@@ -860,11 +835,9 @@ Archive decode_v4(V4Layout&& layout, const ChunkSource& source,
 }
 
 /// Reads and decodes a v2/v3 container after its prologue (read-only:
-/// no writer emits these versions); `codec`, when non-null, receives the
-/// pinned codec of its header.
+/// no writer emits these versions).
 Archive deserialize_legacy(io::ByteReader& reader, std::uint32_t version,
-                           const Context& ctx,
-                           core::CodecPtr* codec = nullptr) {
+                           const Context& ctx) {
   Archive archive;
   if (version == 3) {
     const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
@@ -896,30 +869,22 @@ Archive deserialize_legacy(io::ByteReader& reader, std::uint32_t version,
   }
   archive.packed = io::deserialize_tensor(reader.rest());
   validate_payload_shape(archive.packed.shape(),
-                         expected_compressed_shape(archive, ctx, codec));
+                         expected_compressed_shape(archive, ctx));
   return archive;
 }
 
-/// Raises the truncation error of an encoded region whose size disagrees
-/// with the chunk table's total.
-[[noreturn]] void raise_encoded_size(std::uint64_t promised,
-                                     std::uint64_t have) {
-  raise_corrupt(CorruptKind::kTruncated,
-                "archive: chunk table promises " + std::to_string(promised) +
-                    " encoded bytes, stream has " + std::to_string(have));
-}
-
-/// The restore side of a streamed decode: with `codec`, the pinned codec
-/// of the archive header, writes the io::save_tensor header of the
-/// original shape to `out` (none when null), then restores plane groups
-/// in order into two recycled output buffers. A group's write runs on the pool
-/// while the next group decodes and transforms into the other buffer.
-/// `next_group(g)` returns the packed floats of the next `g` planes. The
+/// The restore side of a streamed decode: restores plane groups in order
+/// with the archive's pinned codec into two recycled output buffers. A
+/// group's write runs on the pool while the next group decodes and
+/// transforms into the other buffer. `next_group(g)` returns the packed
+/// floats of the next `g` planes; the io::save_tensor header of the
+/// original shape goes to `out` (none when null) once the first group is
+/// in, so a rejected tensor header or first group writes nothing. The
 /// archive family treats planes independently, so the groups restore to
 /// the bytes of one whole-tensor decompress.
 RestoredArchive restore_groups(
-    const Archive& archive, const core::CodecPtr& codec,
-    const Shape& packed_shape, std::ostream* out, const Context& ctx,
+    const Archive& archive, const Shape& packed_shape, std::ostream* out,
+    const Context& ctx,
     const std::function<const float*(std::size_t)>& next_group) {
   const Shape& original = archive.original_shape;
   const std::size_t planes = original[0] * original[1];
@@ -928,10 +893,6 @@ RestoredArchive restore_groups(
   runtime::BufferPool::Buffer restored[2] = {
       ctx.buffer_pool().acquire(step * plane_bytes),
       ctx.buffer_pool().acquire(step * plane_bytes)};
-  if (out != nullptr) {
-    const std::string header = io::serialize_tensor_header(original);
-    write_or_throw(*out, header.data(), header.size());
-  }
   // The pending write reports failure as `false` rather than through the
   // future's exception_ptr, whose refcount ThreadSanitizer cannot see.
   std::future<bool> written;
@@ -944,8 +905,13 @@ RestoredArchive restore_groups(
     for (std::size_t p0 = 0, k = 0; p0 < planes; p0 += step, ++k) {
       const std::size_t g = std::min(step, planes - p0);
       char* buffer = restored[k % 2].data();
-      codec->decompress_into(next_group(g), group_shape(original, g),
-                             reinterpret_cast<float*>(buffer));
+      const float* packed = next_group(g);
+      if (out != nullptr && k == 0) {
+        const std::string header = io::serialize_tensor_header(original);
+        write_or_throw(*out, header.data(), header.size());
+      }
+      archive.codec->decompress_into(packed, group_shape(original, g),
+                                     reinterpret_cast<float*>(buffer));
       if (out == nullptr) continue;
       wait_written();  // frees the buffer the next group restores into
       written = ctx.pool().submit([out, buffer, len = g * plane_bytes] {
@@ -963,19 +929,20 @@ RestoredArchive restore_groups(
     if (written.valid()) written.wait();
     throw;
   }
-  return {codec, original, packed_shape};
+  return {archive.codec, original, packed_shape};
 }
 
-/// Streams a whole v4 payload through restore_groups: chunk batches
-/// decode in order into one recycled packed window, and each group
-/// restores as soon as its chunks are in. The window holds one group's
-/// packed bytes plus the chunk tails around them; the pinned codec is the
-/// one the header parse built.
-RestoredArchive restore_v4(V4Layout&& layout, const ChunkSource& source,
-                           std::ostream* out, const Context& ctx) {
+/// Streams a whole v4 payload through restore_groups: each group's
+/// chunks decode in one pass into one recycled packed window (the first
+/// group's together with the header chunks, whose tensor header is
+/// checked before the first transform), and the group restores as soon
+/// as they are in. The window holds one group's packed bytes plus the
+/// chunk tails around them.
+RestoredArchive restore_v4(V4Layout&& layout, std::ostream* out,
+                           const Context& ctx) {
   AIC_TRACE_SCOPE("pipeline.restore_v4");
   Context::PoolScope pool_scope(ctx);
-  PayloadDecoder decoder(layout, source);
+  PayloadDecoder decoder(layout);
   const Shape& original = layout.archive.original_shape;
   const std::size_t packed_plane_bytes =
       layout.expected_shape[2] * layout.expected_shape[3] * sizeof(float);
@@ -988,18 +955,20 @@ RestoredArchive restore_v4(V4Layout&& layout, const ChunkSource& source,
                                       step * packed_plane_bytes +
                                       layout.chunk_bytes)));
   std::uint64_t base = 0;  // payload offset of window.data()[0]
-  std::uint64_t start = decoder.read_header(window.data()).header_bytes;
+  std::uint64_t start = layout.tensor_header_bytes;
   const RestoredArchive restored = restore_groups(
-      layout.archive, layout.codec, layout.expected_shape, out, ctx,
-      [&](std::size_t g) {
+      layout.archive, layout.expected_shape, out, ctx, [&](std::size_t g) {
         const std::uint64_t end = start + g * packed_plane_bytes;
         if (decoder.decoded() < end) {
-          // The group's decoded head moves to the window front (at most
-          // one chunk's tail), and its remaining chunks decode behind it.
-          std::memmove(window.data(), window.data() + (start - base),
-                       static_cast<std::size_t>(decoder.decoded() - start));
-          base = start;
-          decoder.decode_through(end, window.data(), base);
+          if (decoder.decoded() != 0) {
+            // The group's decoded head moves to the window front (at most
+            // one chunk's tail), and its remaining chunks decode behind
+            // it.
+            std::memmove(window.data(), window.data() + (start - base),
+                         static_cast<std::size_t>(decoder.decoded() - start));
+            base = start;
+          }
+          decoder.decode_through(end, window.data(), window.data(), base);
         }
         const char* group = window.data() + (start - base);
         start = end;
@@ -1008,26 +977,6 @@ RestoredArchive restore_v4(V4Layout&& layout, const ChunkSource& source,
   obs::PipelineMetrics::global().record_archive_layout(layout.chunk_bytes,
                                                        layout.chunk_count);
   return restored;
-}
-
-/// Reads a v4 container held whole in `reader` (after its prologue):
-/// the validated layout, and a source over its encoded chunks.
-std::pair<V4Layout, ChunkSource> open_v4(io::ByteReader& reader,
-                                         const Context& ctx) {
-  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
-  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
-  const std::string_view header =
-      reader.read_bytes(header_len, "header fields");
-  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
-  const std::string_view encoded = reader.rest();
-  if (encoded.size() != layout.encoded_total) {
-    raise_encoded_size(layout.encoded_total, encoded.size());
-  }
-  return {std::move(layout),
-          ChunkSource{std::numeric_limits<std::uint64_t>::max(),
-                      [encoded](std::uint64_t offset, std::uint64_t len) {
-                        return encoded.substr(offset, len);
-                      }}};
 }
 
 }  // namespace
@@ -1070,6 +1019,7 @@ Archive compress_to_archive(const Tensor& input, const std::string& codec_spec,
   const core::CodecPtr codec = core::make_codec(codec_spec, ctx);
   Archive archive = classify_codec(*codec, codec_spec, input.shape());
   archive.packed = codec->compress(input);
+  archive.codec = codec;
   if (codec_out != nullptr) *codec_out = codec;
   return archive;
 }
@@ -1124,92 +1074,24 @@ Archive deserialize_archive(std::string_view bytes, const Context& ctx) {
   io::ByteReader reader(bytes, "archive");
   const std::uint32_t version = read_prologue(reader);
   if (version != 4) return deserialize_legacy(reader, version, ctx);
-  auto [layout, view] = open_v4(reader, ctx);
-  return decode_v4(std::move(layout), view, ctx);
+  return decode_v4(open_v4(reader, ctx), ctx);
 }
 
 RestoredArchive restore_archive(std::string_view bytes, std::ostream* out,
                                 const Context& ctx) {
   io::ByteReader reader(bytes, "archive");
   const std::uint32_t version = read_prologue(reader);
-  if (version == 4) {
-    auto [layout, view] = open_v4(reader, ctx);
-    return restore_v4(std::move(layout), view, out, ctx);
-  }
+  if (version == 4) return restore_v4(open_v4(reader, ctx), out, ctx);
   // v2/v3 hold one unchunked payload: it decodes whole, then restores
   // group by group like v4.
-  core::CodecPtr codec;
-  const Archive archive = deserialize_legacy(reader, version, ctx, &codec);
+  const Archive archive = deserialize_legacy(reader, version, ctx);
   const Shape& packed = archive.packed.shape();
   const float* next = archive.packed.raw();
-  return restore_groups(archive, codec, packed, out, ctx, [&](std::size_t g) {
+  return restore_groups(archive, packed, out, ctx, [&](std::size_t g) {
     const float* group = next;
     next += g * packed[2] * packed[3];
     return group;
   });
-}
-
-Archive decompress_from_stream(std::istream& in, const Context& ctx) {
-  char prologue[16];
-  in.read(prologue, sizeof(prologue));
-  const std::size_t got = static_cast<std::size_t>(in.gcount());
-  io::ByteReader reader(std::string_view(prologue, got), "archive");
-  const std::uint32_t version = read_prologue(reader);
-  if (version != 4) {
-    // v2/v3 are unchunked — there is no streamable structure. Reassemble
-    // the full byte string and delegate to the in-memory reader.
-    std::string bytes(prologue, got);
-    bytes.append(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    return deserialize_archive(bytes, ctx);
-  }
-  const std::uint32_t header_len = reader.read<std::uint32_t>("header size");
-  const std::uint32_t header_crc = reader.read<std::uint32_t>("header CRC");
-
-  // Incremental header read: memory stays proportional to the bytes the
-  // stream actually holds, so a hostile length cannot force a giant
-  // allocation.
-  std::string header;
-  while (header.size() < header_len) {
-    const std::size_t have = header.size();
-    const std::size_t step =
-        std::min<std::size_t>(header_len - have, kStreamBatchBytes);
-    header.resize(have + step);
-    in.read(header.data() + have, static_cast<std::streamsize>(step));
-    header.resize(have + static_cast<std::size_t>(in.gcount()));
-    if (header.size() < have + step) {
-      raise_corrupt(CorruptKind::kTruncated,
-                    "archive: truncated reading header fields (need " +
-                        std::to_string(header_len) + " bytes, have " +
-                        std::to_string(header.size()) + ")");
-    }
-  }
-  V4Layout layout = parse_v4_layout(header, header_crc, ctx);
-
-  const std::uint64_t encoded_total = layout.encoded_total;
-  runtime::BufferPool::Buffer stage;
-  std::uint64_t consumed = 0;
-  const ChunkSource stream{
-      kStreamBatchBytes, [&](std::uint64_t, std::uint64_t len) {
-        stage.reset();  // so the pool can hand the same block back
-        stage = ctx.buffer_pool().acquire(static_cast<std::size_t>(len));
-        in.read(stage.data(), static_cast<std::streamsize>(len));
-        consumed += static_cast<std::uint64_t>(in.gcount());
-        if (static_cast<std::uint64_t>(in.gcount()) != len) {
-          raise_encoded_size(encoded_total, consumed);
-        }
-        return std::string_view(stage.data(), static_cast<std::size_t>(len));
-      }};
-  Archive archive = decode_v4(std::move(layout), stream, ctx);
-
-  // Reject trailing bytes the way the in-memory reader does.
-  char sink[4096];
-  std::uint64_t extra = 0;
-  while (in.read(sink, sizeof(sink)), in.gcount() > 0) {
-    extra += static_cast<std::uint64_t>(in.gcount());
-  }
-  if (extra != 0) raise_encoded_size(encoded_total, encoded_total + extra);
-  return archive;
 }
 
 ArchiveProbe probe_archive(std::string_view bytes) {

@@ -50,6 +50,11 @@ inline constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
 /// string or seekable-stream sink in index order before the chunk table
 /// and header CRC are back-patched.
 ///
+/// Every reader decodes out of one byte view of the whole archive (an
+/// owned string, a pooled buffer or an io::MappedFile): deserialize_archive
+/// and restore_archive share one v4 decode core, which decodes the chunks
+/// each request needs in one parallel pass.
+///
 /// v3 (unchunked; magic | version | header_len | header_crc32c
 /// | payload_crc32c | header | payload) and v2 (no CRC block at all) are
 /// read-only: nothing writes them any more, but existing archives still
@@ -66,6 +71,11 @@ struct Archive {
   core::DctChopConfig config;     // height/width filled from dims
   tensor::Shape original_shape;   // BCHW
   tensor::Tensor packed;
+  /// The pinned codec the header describes: deserialize_archive builds it
+  /// once while it checks the header, compress_to_archive sets the one
+  /// that compressed. Decompress with it; make_archive_codec builds
+  /// another.
+  core::CodecPtr codec;
 };
 
 /// The canonical factory spec string an archive header describes.
@@ -160,29 +170,20 @@ std::size_t compress_to_stream(const float* data, const tensor::Shape& input,
                                core::CodecPtr* codec_out = nullptr,
                                const Context& ctx = Context::process_default());
 
-/// Bounded-memory streaming read: validates and decodes an archive from
-/// `in` with the same typed CorruptStream rejections as
-/// deserialize_archive, through the same v4 decode core. Chunks are read
-/// in pooled batches of at most 4 MiB and entropy-decoded straight into
-/// the result tensor's storage, so the resident footprint is
-/// O(header + batch + tensor) — the encoded stream is never held whole.
-/// v2/v3 (unchunked) containers are slurped and delegated to the
-/// in-memory reader.
-Archive decompress_from_stream(std::istream& in,
-                               const Context& ctx = Context::process_default());
-
 /// Parses and fully validates an archive stream (magic, version range,
 /// CRCs, field ranges, overflow-checked dims, chunk-table consistency
 /// and expansion bounds — all before any payload allocation — plus
-/// payload/header shape agreement). v4 chunk CRC checks and entropy
-/// decode fan out across `ctx`'s pool. Throws aic::io::CorruptStream
-/// on any violation.
+/// payload/header shape agreement). Throws aic::io::CorruptStream on any
+/// violation. The result's `codec` is the pinned codec of the header.
 ///
 /// Takes a non-owning view: the bytes may live in an owned string, a
-/// pooled buffer, or an io::MappedFile — v4 chunks entropy-decode
-/// straight out of the view into the result tensor's storage, so the
-/// mapped-file path copies the payload exactly once (decode), never into
-/// an intermediate heap string.
+/// pooled buffer, or an io::MappedFile. The packed tensor is allocated
+/// from the header-checked shape, and every v4 chunk CRC-checks and
+/// entropy-decodes in one parallel pass on `ctx`'s pool, straight out of
+/// the view into the tensor's storage (the chunks holding the tensor
+/// header go through a small pooled buffer), so the mapped-file path
+/// copies the payload exactly once, never into an intermediate heap
+/// string. The lowest failing chunk is the one reported.
 Archive deserialize_archive(std::string_view bytes,
                             const Context& ctx = Context::process_default());
 
@@ -195,17 +196,19 @@ struct RestoredArchive {
 
 /// Bounded-memory restore of an archive held whole in `bytes` (an owned
 /// string or an io::MappedFile view), with the typed CorruptStream
-/// rejections of deserialize_archive. v4 chunk batches decode in order
-/// into one recycled packed window, and each complete plane group (about
-/// 1 MiB of restored planes) transforms into one of two recycled output
-/// buffers, so neither the whole packed tensor nor the whole restored
-/// tensor exists. The container, the tensor header and the payload shape
-/// are validated before the first output byte; `out` then receives the
+/// rejections of deserialize_archive. Each plane group's v4 chunks (the
+/// first group's with the chunks holding the tensor header) decode in
+/// one parallel pass into one recycled packed window, and each complete
+/// plane group (about 1 MiB of restored planes) transforms into one of
+/// two recycled output buffers, so neither the whole packed tensor nor
+/// the whole restored tensor exists. The container, the tensor header,
+/// the payload shape and the first group's chunks are validated before
+/// the first output byte; `out` then receives the
 /// restored tensor in the io::save_tensor format, group by group, each
 /// group's write running on `ctx`'s pool while the next group restores
 /// (`out` must not be written by anyone else meanwhile). The
 /// bytes equal io::serialize_tensor of
-/// make_archive_codec(a)->decompress(a.packed, a.original_shape) for
+/// a.codec->decompress(a.packed, a.original_shape) for
 /// a = deserialize_archive(bytes), for every pool size. A null `out`
 /// decodes and transforms everything and writes nothing (aicomp verify).
 /// A chunk rejected after the first group throws with earlier groups

@@ -133,9 +133,8 @@ std::size_t header_offset_for(std::uint32_t version) {
   return version >= 4 ? kHeaderOffsetV4 : kHeaderOffset;
 }
 
-/// Patches `width` bytes of the header region at `field_offset` and
-/// recomputes the header CRC, so the mutant exercises the deep field
-/// validation instead of the checksum.
+}  // namespace
+
 std::string patch_header_field(const std::string& bytes,
                                std::uint32_t version,
                                std::size_t field_offset, const void* value,
@@ -150,6 +149,8 @@ std::string patch_header_field(const std::string& bytes,
   std::memcpy(out.data() + kHeaderCrcOffset, &crc, sizeof(crc));
   return out;
 }
+
+namespace {
 
 /// Deep-validation sweeps over every header field shared by v3/v4 (CRC
 /// fixed up each time) plus a version sweep (the version word sits
@@ -364,8 +365,8 @@ std::string read_corpus_seed(const std::string& corpus_dir,
 
 std::string decode_archive_bytes(const std::string& bytes) {
   const Archive archive = deserialize_archive(bytes);
-  const Tensor restored = make_archive_codec(archive)->decompress(
-      archive.packed, archive.original_shape);
+  const Tensor restored =
+      archive.codec->decompress(archive.packed, archive.original_shape);
   return io::serialize_tensor(restored);
 }
 

@@ -27,9 +27,18 @@ struct RobustnessTarget {
 /// libFuzzer entry points. Input is fully untrusted; each either decodes
 /// or raises aic::io::CorruptStream.
 ///
-/// decode_archive_bytes: deserialize_archive + codec rebuild + full
-/// decompress, returning the restored tensor's serialized bytes.
+/// decode_archive_bytes: deserialize_archive + a full decompress with the
+/// archive's pinned codec, returning the restored tensor's serialized
+/// bytes.
 std::string decode_archive_bytes(const std::string& bytes);
+/// Patches `width` bytes at `field_offset` into the header fields of a
+/// v3/v4 archive (`version` places them) and recomputes the header CRC,
+/// so the mutant reaches the deep field validation instead of the
+/// checksum.
+std::string patch_header_field(const std::string& bytes,
+                               std::uint32_t version,
+                               std::size_t field_offset, const void* value,
+                               std::size_t width);
 /// Body layout: u32 table_count | (u16 symbol, u8 length)*count
 /// | u32 symbol_count | bit payload. Rebuilds the (untrusted) canonical
 /// table and decodes symbol_count symbols.

@@ -45,10 +45,7 @@ double triangle_ratio(std::size_t cf, std::size_t block) {
 
 Tensor chop_tile(std::size_t cf, std::size_t block, TransformKind kind) {
   validate(block, cf, block);
-  const Tensor t = transform_matrix(kind, block);
-  Tensor tile(Shape::matrix(cf, block));
-  for (std::size_t i = 0; i < cf * block; ++i) tile.at(i) = t.at(i);
-  return tile;
+  return transform_rows(kind, cf, block);
 }
 
 Tensor make_lhs(std::size_t n, std::size_t cf, std::size_t block,

@@ -25,9 +25,10 @@ double chop_ratio(std::size_t cf, std::size_t block = kDefaultBlock);
 double triangle_ratio(std::size_t cf, std::size_t block = kDefaultBlock);
 
 /// The CF×block tile every diagonal block of LHS = M · T_L repeats
-/// (Fig. 4): the first CF rows of the block transform. `kind` selects the
-/// transform (DCT-II by default; §6's alternative-transform future work
-/// plugs in here). Requires 1 <= cf <= block.
+/// (Fig. 4): the first CF rows of the block transform, built in
+/// O(CF·block) (transform_rows). `kind` selects the transform (DCT-II by
+/// default; §6's alternative-transform future work plugs in here).
+/// Requires 1 <= cf <= block.
 tensor::Tensor chop_tile(std::size_t cf, std::size_t block = kDefaultBlock,
                          TransformKind kind = TransformKind::kDct2);
 

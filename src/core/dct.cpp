@@ -4,28 +4,15 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "core/transforms.hpp"
+
 namespace aic::core {
 
 using tensor::Shape;
 using tensor::Tensor;
 
 Tensor dct_matrix(std::size_t n) {
-  if (n == 0) throw std::invalid_argument("dct_matrix: n must be positive");
-  Tensor t(Shape::matrix(n, n));
-  const double inv_sqrt_n = 1.0 / std::sqrt(static_cast<double>(n));
-  const double scale = std::sqrt(2.0 / static_cast<double>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == 0) {
-        t.at(i, j) = static_cast<float>(inv_sqrt_n);
-      } else {
-        const double angle = std::numbers::pi * (2.0 * j + 1.0) * i /
-                             (2.0 * static_cast<double>(n));
-        t.at(i, j) = static_cast<float>(scale * std::cos(angle));
-      }
-    }
-  }
-  return t;
+  return transform_rows(TransformKind::kDct2, n, n);
 }
 
 Tensor block_diagonal_dct(std::size_t n, std::size_t block) {

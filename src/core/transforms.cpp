@@ -1,12 +1,10 @@
 #include "core/transforms.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 #include <vector>
-
-#include "core/dct.hpp"
 
 namespace aic::core {
 
@@ -22,75 +20,83 @@ std::string transform_name(TransformKind kind) {
   return "?";
 }
 
-Tensor walsh_hadamard_matrix(std::size_t n) {
+namespace {
+
+/// The rows×n matrix whose (i, j) entry is entry(i, j).
+template <typename Entry>
+Tensor rows_of(std::size_t rows, std::size_t n, Entry entry) {
+  Tensor t(Shape::matrix(rows, n));
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < n; ++j) t.at(i, j) = entry(i, j);
+  }
+  return t;
+}
+
+/// Orthonormal DCT-II (Eq. 2).
+Tensor dct_rows(std::size_t rows, std::size_t n) {
+  if (n == 0) throw std::invalid_argument("dct_matrix: n must be positive");
+  const double inv_sqrt_n = 1.0 / std::sqrt(static_cast<double>(n));
+  const double scale = std::sqrt(2.0 / static_cast<double>(n));
+  return rows_of(rows, n, [&](std::size_t i, std::size_t j) {
+    if (i == 0) return static_cast<float>(inv_sqrt_n);
+    const double angle = std::numbers::pi * (2.0 * j + 1.0) * i /
+                         (2.0 * static_cast<double>(n));
+    return static_cast<float>(scale * std::cos(angle));
+  });
+}
+
+/// Sequency-ordered Walsh-Hadamard: sequency row k is natural (Sylvester)
+/// Hadamard row r = bit_reverse(gray(k)), whose entry j is
+/// (-1)^popcount(r & j).
+Tensor walsh_hadamard_rows(std::size_t rows, std::size_t n) {
   if (n == 0 || (n & (n - 1)) != 0) {
     throw std::invalid_argument(
         "walsh_hadamard_matrix: n must be a power of two");
   }
-  // Sylvester construction, then sequency (sign-change) ordering.
-  std::vector<std::vector<int>> h = {{1}};
-  for (std::size_t size = 1; size < n; size *= 2) {
-    std::vector<std::vector<int>> next(2 * size,
-                                       std::vector<int>(2 * size));
-    for (std::size_t i = 0; i < size; ++i) {
-      for (std::size_t j = 0; j < size; ++j) {
-        next[i][j] = h[i][j];
-        next[i][j + size] = h[i][j];
-        next[i + size][j] = h[i][j];
-        next[i + size][j + size] = -h[i][j];
-      }
-    }
-    h = std::move(next);
-  }
-  // Order rows by sequency so low indices = low "frequency".
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  auto sign_changes = [&](std::size_t row) {
-    std::size_t changes = 0;
-    for (std::size_t j = 1; j < n; ++j) {
-      if (h[row][j] != h[row][j - 1]) ++changes;
-    }
-    return changes;
-  };
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return sign_changes(a) < sign_changes(b);
-  });
-
-  Tensor t(Shape::matrix(n, n));
+  const int bits = std::countr_zero(n);
   const float scale = 1.0f / std::sqrt(static_cast<float>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      t.at(i, j) = scale * static_cast<float>(h[order[i]][j]);
+  std::vector<std::size_t> natural(rows);
+  for (std::size_t k = 0; k < rows; ++k) {
+    const std::size_t gray = k ^ (k >> 1);
+    for (int b = 0; b < bits; ++b) {
+      natural[k] |= ((gray >> b) & 1u) << (bits - 1 - b);
     }
   }
-  return t;
+  return rows_of(rows, n, [&](std::size_t i, std::size_t j) {
+    return scale * (std::popcount(natural[i] & j) % 2 == 0 ? 1.0f : -1.0f);
+  });
 }
 
-Tensor dst2_matrix(std::size_t n) {
+/// Orthonormal DST-II: T[i][j] = s(i)·sqrt(2/N)·sin(pi(i+1)(2j+1)/2N),
+/// with the last row scaled by 1/sqrt(2).
+Tensor dst2_rows(std::size_t rows, std::size_t n) {
   if (n == 0) throw std::invalid_argument("dst2_matrix: n must be positive");
-  // Orthonormal DST-II: T[i][j] = s(i)·sqrt(2/N)·sin(pi(i+1)(2j+1)/2N),
-  // with the last row scaled by 1/sqrt(2).
-  Tensor t(Shape::matrix(n, n));
   const double scale = std::sqrt(2.0 / static_cast<double>(n));
-  for (std::size_t i = 0; i < n; ++i) {
+  return rows_of(rows, n, [&](std::size_t i, std::size_t j) {
     const double row_scale =
         (i == n - 1) ? scale / std::numbers::sqrt2 : scale;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double angle = std::numbers::pi * (i + 1.0) * (2.0 * j + 1.0) /
-                           (2.0 * static_cast<double>(n));
-      t.at(i, j) = static_cast<float>(row_scale * std::sin(angle));
-    }
+    const double angle = std::numbers::pi * (i + 1.0) * (2.0 * j + 1.0) /
+                         (2.0 * static_cast<double>(n));
+    return static_cast<float>(row_scale * std::sin(angle));
+  });
+}
+
+}  // namespace
+
+Tensor transform_rows(TransformKind kind, std::size_t rows, std::size_t n) {
+  if (rows > n) {
+    throw std::invalid_argument("transform_rows: rows must be at most n");
   }
-  return t;
+  switch (kind) {
+    case TransformKind::kDct2: return dct_rows(rows, n);
+    case TransformKind::kWalshHadamard: return walsh_hadamard_rows(rows, n);
+    case TransformKind::kDst2: return dst2_rows(rows, n);
+  }
+  throw std::invalid_argument("unknown transform");
 }
 
 Tensor transform_matrix(TransformKind kind, std::size_t n) {
-  switch (kind) {
-    case TransformKind::kDct2: return dct_matrix(n);
-    case TransformKind::kWalshHadamard: return walsh_hadamard_matrix(n);
-    case TransformKind::kDst2: return dst2_matrix(n);
-  }
-  throw std::invalid_argument("unknown transform");
+  return transform_rows(kind, n, n);
 }
 
 Tensor block_diagonal_transform(TransformKind kind, std::size_t n,

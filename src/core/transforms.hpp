@@ -25,16 +25,16 @@ enum class TransformKind {
 std::string transform_name(TransformKind kind);
 
 /// The N×N orthonormal matrix of the chosen transform. N must be a
-/// power of two for kWalshHadamard.
+/// power of two for kWalshHadamard, whose rows are in sequency
+/// (sign-change count) order, so "chop" keeps low-sequency rows the way
+/// it keeps low-frequency DCT rows.
 tensor::Tensor transform_matrix(TransformKind kind, std::size_t n);
 
-/// Sequency-ordered Walsh-Hadamard matrix (rows sorted by sign-change
-/// count, so "chop" keeps low-sequency rows the way it keeps
-/// low-frequency DCT rows). n must be a power of two.
-tensor::Tensor walsh_hadamard_matrix(std::size_t n);
-
-/// DST-II orthonormal matrix.
-tensor::Tensor dst2_matrix(std::size_t n);
+/// The first `rows` rows of transform_matrix(kind, n), bitwise equal to
+/// them, built in O(rows·n): each entry has a closed form, so chop's CF
+/// kept rows of a large block cost no block² build.
+tensor::Tensor transform_rows(TransformKind kind, std::size_t rows,
+                              std::size_t n);
 
 /// Block-diagonal extension of any block transform (the T_L of Fig. 4).
 tensor::Tensor block_diagonal_transform(TransformKind kind, std::size_t n,

@@ -2,16 +2,21 @@
 // compress_into / decompress_into pair of each archive codec (dctchop,
 // triangle, partial) on a 1024² batch (whole tensors, or a plane range
 // of caller memory) makes no heap allocation of 1 KiB or more, at pool
-// sizes 1 and 4.
+// sizes 1 and 4. And the header parse of a crafted archive whose `block`
+// field is huge builds only the kept rows of the block transform.
 // Links aic_memprobe, which counts every operator new of this binary
 // (pool workers included).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
+#include <string>
 #include <vector>
 
+#include "cli/archive.hpp"
+#include "cli/robustness_suite.hpp"
 #include "core/codec_factory.hpp"
 #include "runtime/context.hpp"
 #include "runtime/rng.hpp"
@@ -120,6 +125,36 @@ INSTANTIATE_TEST_SUITE_P(
     PartialPoolSizes, CodecAllocations,
     ::testing::Values(AllocCase{"partial:cf=4,block=8,s=2", 1},
                       AllocCase{"partial:cf=4,block=8,s=2", 4}));
+
+/// The u16 `block` header field is bounded only by "H and W are multiples
+/// of it", so a tiny archive may claim block 4096. Its header parse builds
+/// the pinned codec, whose tile holds only the CF kept rows of the block
+/// transform: no block×block matrix is built for any transform.
+TEST(HostileBlock, HeaderParseBuildsOnlyTheKeptRows) {
+  runtime::Rng rng(23);
+  const Tensor input =
+      Tensor::uniform(Shape::bchw(1, 1, 8, 8), rng, -1.0f, 1.0f);
+  for (const char* transform : {"dct", "wht", "dst2"}) {
+    const std::string spec =
+        std::string("dctchop:cf=1,block=8,transform=") + transform;
+    std::string bytes = cli::compress_to_archive_bytes(input, spec);
+    // Header field offsets: u16 block @4, u64 dims[4] @12 (H @28, W @36).
+    const std::uint16_t block = 4096;
+    const std::uint64_t dim = 4096;
+    bytes = cli::patch_header_field(bytes, 4, 4, &block, sizeof(block));
+    bytes = cli::patch_header_field(bytes, 4, 28, &dim, sizeof(dim));
+    bytes = cli::patch_header_field(bytes, 4, 36, &dim, sizeof(dim));
+    const Context ctx{Context::Options{}};  // its own, empty plan cache
+
+    testsupport::set_large_alloc_threshold(std::size_t{1} << 20);
+    const std::uint64_t before = testsupport::alloc_stats().large_allocs;
+    const cli::Archive archive = cli::deserialize_archive(bytes, ctx);
+    const std::uint64_t after = testsupport::alloc_stats().large_allocs;
+    EXPECT_EQ(after, before) << transform << ": allocations >= 1 MiB";
+    EXPECT_EQ(archive.original_shape, Shape::bchw(1, 1, 4096, 4096));
+    EXPECT_EQ(archive.packed.shape(), Shape::bchw(1, 1, 1, 1));
+  }
+}
 
 }  // namespace
 }  // namespace aic::core

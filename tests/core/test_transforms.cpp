@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/dct_chop.hpp"
@@ -65,6 +67,23 @@ TEST_P(TransformFamily, ErrorDecreasesWithCf) {
   }
 }
 
+TEST_P(TransformFamily, RowsAreTheLeadingRowsBitwise) {
+  const TransformKind kind = GetParam();
+  for (std::size_t n : {1u, 2u, 8u, 64u}) {
+    const Tensor t = transform_matrix(kind, n);
+    for (std::size_t rows : {std::size_t{1}, n / 2, n}) {
+      const Tensor head = transform_rows(kind, rows, n);
+      ASSERT_EQ(head.shape(), Shape::matrix(rows, n));
+      for (std::size_t i = 0; i < rows * n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(head.at(i)),
+                  std::bit_cast<std::uint32_t>(t.at(i)))
+            << transform_name(kind) << " n=" << n << " rows=" << rows;
+      }
+    }
+  }
+  EXPECT_THROW(transform_rows(kind, 9, 8), std::invalid_argument);
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, TransformFamily,
                          ::testing::Values(TransformKind::kDct2,
                                            TransformKind::kWalshHadamard,
@@ -74,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, TransformFamily,
                          });
 
 TEST(WalshHadamard, EntriesArePlusMinusInvSqrtN) {
-  const Tensor t = walsh_hadamard_matrix(8);
+  const Tensor t = transform_matrix(TransformKind::kWalshHadamard, 8);
   const float expected = 1.0f / std::sqrt(8.0f);
   for (float v : t.data()) {
     EXPECT_NEAR(std::fabs(v), expected, 1e-6f);
@@ -82,7 +101,7 @@ TEST(WalshHadamard, EntriesArePlusMinusInvSqrtN) {
 }
 
 TEST(WalshHadamard, SequencyOrdered) {
-  const Tensor t = walsh_hadamard_matrix(8);
+  const Tensor t = transform_matrix(TransformKind::kWalshHadamard, 8);
   auto changes = [&](std::size_t row) {
     int count = 0;
     for (std::size_t j = 1; j < 8; ++j) {
@@ -90,20 +109,20 @@ TEST(WalshHadamard, SequencyOrdered) {
     }
     return count;
   };
-  for (std::size_t row = 1; row < 8; ++row) {
-    EXPECT_GE(changes(row), changes(row - 1)) << row;
+  // Row k changes sign exactly k times; row 0 is constant, like the
+  // DCT's DC row.
+  for (std::size_t row = 0; row < 8; ++row) {
+    EXPECT_EQ(changes(row), static_cast<int>(row)) << row;
   }
-  // Row 0 is constant (zero sequency), like the DCT's DC row.
-  EXPECT_EQ(changes(0), 0);
 }
 
 TEST(WalshHadamard, NonPowerOfTwoThrows) {
-  EXPECT_THROW(walsh_hadamard_matrix(6), std::invalid_argument);
-  EXPECT_THROW(walsh_hadamard_matrix(0), std::invalid_argument);
+  EXPECT_THROW(transform_matrix(TransformKind::kWalshHadamard, 6), std::invalid_argument);
+  EXPECT_THROW(transform_matrix(TransformKind::kWalshHadamard, 0), std::invalid_argument);
 }
 
 TEST(Dst2, FirstRowIsLowestFrequency) {
-  const Tensor t = dst2_matrix(8);
+  const Tensor t = transform_matrix(TransformKind::kDst2, 8);
   // Row 0 = sin(pi(2j+1)/16): strictly positive and unimodal.
   for (std::size_t j = 0; j < 8; ++j) {
     EXPECT_GT(t.at(0, j), 0.0f);

@@ -4,9 +4,9 @@
 //   fault_inject --matrix              run the built-in mutation matrix
 //                                      over all targets (default), then
 //                                      replay the v4 targets through the
-//                                      mmap (io::MappedFile) and istream
-//                                      (decompress_from_stream) decode
-//                                      paths
+//                                      mmap (io::MappedFile) decode path
+//                                      and through restore_archive, the
+//                                      reader aicomp decompress/verify run
 //   fault_inject --mmap-matrix         only the mmap replay pass
 //   fault_inject --write-corpus <dir>  write fuzz corpus seeds and exit
 //   fault_inject <file>...             replay raw mutant files through the
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,8 +87,7 @@ std::filesystem::path mmap_replay_path() {
 
 std::string restore(const aic::cli::Archive& archive) {
   const aic::tensor::Tensor restored =
-      aic::cli::make_archive_codec(archive)->decompress(
-          archive.packed, archive.original_shape);
+      archive.codec->decompress(archive.packed, archive.original_shape);
   return aic::io::serialize_tensor(restored);
 }
 
@@ -140,12 +140,18 @@ int run_mmap_matrix() {
   return status;
 }
 
-/// The istream path: each mutant is decoded by decompress_from_stream
-/// from an std::istringstream, which reads chunks in pooled batches.
-int run_stream_matrix() {
-  return run_v4_replay("stream", [](const std::string& bytes) {
-    std::istringstream in(bytes);
-    return restore(aic::cli::decompress_from_stream(in));
+/// The CLI's reader: each mutant is restored plane group by plane group
+/// by restore_archive, the path aicomp decompress/verify take. A mutant it
+/// restores must give the bytes decode_archive_bytes gives for it.
+int run_restore_matrix() {
+  return run_v4_replay("restore", [](const std::string& bytes) {
+    std::ostringstream out;
+    (void)aic::cli::restore_archive(bytes, &out);
+    if (out.str() != aic::cli::decode_archive_bytes(bytes)) {
+      throw std::logic_error(
+          "restore_archive and deserialize_archive disagree");
+    }
+    return out.str();
   });
 }
 
@@ -164,11 +170,11 @@ int run_matrix() {
   }
   ok = audit.check(total_rejected) && ok;
   std::cout << (ok ? "fault matrix clean" : "fault matrix FAILED") << "\n";
-  // The v4 targets go through again via mmap and via an istream so
+  // The v4 targets go through again via mmap and via restore_archive so
   // every decode front end faces the identical mutant set.
   const int mmap_status = run_mmap_matrix();
-  const int stream_status = run_stream_matrix();
-  return ok && mmap_status == 0 && stream_status == 0 ? 0 : 1;
+  const int restore_status = run_restore_matrix();
+  return ok && mmap_status == 0 && restore_status == 0 ? 0 : 1;
 }
 
 int write_corpus(const std::string& dir) {
