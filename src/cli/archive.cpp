@@ -186,6 +186,39 @@ Shape expected_compressed_shape(Archive& archive, const Context& ctx) {
   }
 }
 
+/// The packed shape the header's codec fields promise, in closed form
+/// (the chop family's compressed_shape), or none when the fields describe
+/// no valid geometry; building the codec then reports why. It lets the
+/// payload length be checked before the codec builds its CF×block tile:
+/// cf is bounded only by block, so a tiny archive claiming
+/// cf = block = 4096 would otherwise build a 64 MiB tile first.
+std::optional<Shape> promised_packed_shape(const Archive& archive) {
+  const core::DctChopConfig& c = archive.config;
+  const std::size_t span = archive.subdivision * c.block;
+  if (c.cf == 0 || c.cf > c.block || c.height == 0 || c.width == 0 ||
+      c.height % span != 0 || c.width % span != 0) {
+    return std::nullopt;
+  }
+  const Shape& o = archive.original_shape;
+  const std::size_t rows = c.height / c.block, cols = c.width / c.block;
+  if (archive.triangle) {
+    return Shape::bchw(o[0], o[1], rows * cols, c.cf * (c.cf + 1) / 2);
+  }
+  return Shape::bchw(o[0], o[1], c.cf * rows, c.cf * cols);
+}
+
+/// Rejects a v4 header whose payload length is not the serialized size
+/// of the packed shape its codec promises.
+void check_payload_len(std::uint64_t payload_len, const Shape& promised) {
+  const std::size_t expected = io::serialized_tensor_bytes(promised);
+  if (payload_len != expected) {
+    raise_corrupt(CorruptKind::kPayloadMismatch,
+                  "archive: header claims " + std::to_string(payload_len) +
+                      " payload bytes, codec promises " +
+                      std::to_string(expected));
+  }
+}
+
 /// Rejects a payload tensor whose shape disagrees with what the header's
 /// codec promises.
 void validate_payload_shape(const Shape& got, const Shape& expected) {
@@ -628,19 +661,16 @@ V4Layout parse_v4_layout(std::string_view header, std::uint32_t header_crc,
   layout.chunk_count = header_reader.read<std::uint32_t>("chunk count");
 
   // The payload length is fully determined by the (CRC-gated) codec
-  // fields, so it is checked against them rather than trusted.
-  layout.expected_shape = expected_compressed_shape(layout.archive, ctx);
-  const std::size_t expected_payload =
-      io::serialized_tensor_bytes(layout.expected_shape);
-  if (layout.payload_len != expected_payload) {
-    raise_corrupt(CorruptKind::kPayloadMismatch,
-                  "archive: header claims " +
-                      std::to_string(layout.payload_len) +
-                      " payload bytes, codec promises " +
-                      std::to_string(expected_payload));
+  // fields, so it is checked against them rather than trusted: in closed
+  // form before the codec is built, then against the built codec.
+  if (const std::optional<Shape> promised =
+          promised_packed_shape(layout.archive)) {
+    check_payload_len(layout.payload_len, *promised);
   }
+  layout.expected_shape = expected_compressed_shape(layout.archive, ctx);
+  check_payload_len(layout.payload_len, layout.expected_shape);
   layout.tensor_header_bytes =
-      expected_payload - layout.expected_shape.numel() * sizeof(float);
+      layout.payload_len - layout.expected_shape.numel() * sizeof(float);
   if (layout.chunk_bytes == 0 || layout.chunk_bytes > kMaxChunkBytes) {
     raise_corrupt(CorruptKind::kBadHeaderField,
                   "archive: chunk size " + std::to_string(layout.chunk_bytes) +
@@ -868,6 +898,9 @@ Archive deserialize_legacy(io::ByteReader& reader, std::uint32_t version,
     parse_header_fields(reader, archive);
   }
   archive.packed = io::deserialize_tensor(reader.rest());
+  if (const std::optional<Shape> promised = promised_packed_shape(archive)) {
+    validate_payload_shape(archive.packed.shape(), *promised);
+  }
   validate_payload_shape(archive.packed.shape(),
                          expected_compressed_shape(archive, ctx));
   return archive;

@@ -133,20 +133,46 @@ void micro_tile_scalar(std::size_t k, const float* ap, const float* bp,
   }
 }
 
-void axpy_scalar(float alpha, const float* src, float* dst, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) dst[j] += alpha * src[j];
-}
+// One pass of the block sandwich over the right blocks of one block row:
+// mid rows [q0, q0 + nq) and output columns [c0, c0 + lanes) of each
+// block (block_sandwich_items sets the pointers at q0 and c0).
+struct BlockPass {
+  const float* in;     // pass row i of block jb at in + i·w + jb·rr
+  std::size_t w;
+  const float* right;  // row k at right + k·rc
+  std::size_t rr, rc;
+  const float* left;   // output row r's entries at left + r·lc
+  std::size_t lc, lr;
+  float* out;          // output row r of block jb at out + r·out_w + jb·rc
+  std::size_t out_w;
+  std::size_t blocks, lanes;
+  bool accumulate;  // q0 > 0: continue the output chains held in `out`
+};
 
-void block_mac_scalar(std::size_t m, std::size_t n, std::size_t k,
-                      const float* a, std::size_t lda, const float* b,
-                      std::size_t ldb, float* c, std::size_t ldc) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    const float* arow = a + i * lda;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      const float* brow = b + p * ldb;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+constexpr std::size_t kPassRows = 8;   // mid rows per pass
+constexpr std::size_t kPassLanes = 8;  // output columns per strip
+
+void block_pass_scalar(const BlockPass& p, std::size_t nq) {
+  for (std::size_t jb = 0; jb < p.blocks; ++jb) {
+    const float* x = p.in + jb * p.rr;
+    float mid[kPassRows][kPassLanes] = {};
+    for (std::size_t i = 0; i < nq; ++i) {
+      for (std::size_t k = 0; k < p.rr; ++k) {
+        const float xv = x[i * p.w + k];
+        const float* rrow = p.right + k * p.rc;
+        for (std::size_t j = 0; j < p.lanes; ++j) mid[i][j] += xv * rrow[j];
+      }
+    }
+    for (std::size_t r = 0; r < p.lr; ++r) {
+      float* orow = p.out + r * p.out_w + jb * p.rc;
+      float acc[kPassLanes] = {};
+      if (p.accumulate) std::copy_n(orow, p.lanes, acc);
+      const float* lrow = p.left + r * p.lc;
+      for (std::size_t i = 0; i < nq; ++i) {
+        if (lrow[i] == 0.0f) continue;
+        for (std::size_t j = 0; j < p.lanes; ++j) acc[j] += lrow[i] * mid[i][j];
+      }
+      std::copy_n(acc, p.lanes, orow);
     }
   }
 }
@@ -155,7 +181,7 @@ void block_mac_scalar(std::size_t m, std::size_t n, std::size_t k,
 // AVX2+FMA backend. Compiled with target attributes so the TU itself
 // builds with baseline flags; only executed after the cpuid probe says
 // the host supports it. Every output element is an ascending-k chain of
-// vector FMAs, so axpy_row / block_mac / the microkernel agree bitwise.
+// vector FMAs, so the block sandwich and the microkernel agree bitwise.
 // ---------------------------------------------------------------------------
 
 #if AIC_GEMM_X86
@@ -175,7 +201,10 @@ __attribute__((target("avx2,fma"))) inline __m256i tail_mask(
 // 64-byte fetch boundaries decides their speed: a 32-byte shift of the
 // code linked before them, from a size change elsewhere in the binary,
 // cost perfbench batch_roundtrip_256 12% (4-vCPU Xeon). Pinning them
-// keeps their speed independent of unrelated code size.
+// keeps their speed independent of unrelated code size: the pin also
+// aligns this file's code section to 64 bytes, so code linked ahead
+// moves every function here by a multiple of 64 bytes (32 or 64 bytes of
+// it: by 64) and none relative to a fetch boundary.
 #define AIC_AVX2_KERNEL __attribute__((target("avx2,fma"), aligned(64)))
 
 AIC_AVX2_KERNEL void micro_tile_avx2(
@@ -242,50 +271,125 @@ AIC_AVX2_KERNEL void micro_tile_avx2(
   }
 }
 
-AIC_AVX2_KERNEL void axpy_avx2(float alpha, const float* src, float* dst,
-                               std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(dst + j,
-                     _mm256_fmadd_ps(va, _mm256_loadu_ps(src + j),
-                                     _mm256_loadu_ps(dst + j)));
-  }
-  if (j < n) {
-    const __m256i mask = tail_mask(n - j);
-    const __m256 s = _mm256_maskload_ps(src + j, mask);
-    const __m256 d = _mm256_maskload_ps(dst + j, mask);
-    _mm256_maskstore_ps(dst + j, mask, _mm256_fmadd_ps(va, s, d));
+// block_pass_scalar with the NQ mid rows of a block in NQ registers.
+template <std::size_t NQ>
+AIC_AVX2_KERNEL void block_pass_avx2(const BlockPass& p) {
+  const bool full = p.lanes == kPassLanes;
+  const __m256i mask = tail_mask(p.lanes);
+  for (std::size_t jb = 0; jb < p.blocks; ++jb) {
+    const float* x = p.in + jb * p.rr;
+    __m256 mid[NQ];
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < NQ; ++i) mid[i] = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < p.rr; ++k) {
+      const float* rrow = p.right + k * p.rc;
+      const __m256 rv =
+          full ? _mm256_loadu_ps(rrow) : _mm256_maskload_ps(rrow, mask);
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < NQ; ++i) {
+        mid[i] = _mm256_fmadd_ps(_mm256_broadcast_ss(x + i * p.w + k), rv,
+                                 mid[i]);
+      }
+    }
+    for (std::size_t r = 0; r < p.lr; ++r) {
+      float* orow = p.out + r * p.out_w + jb * p.rc;
+      __m256 acc = _mm256_setzero_ps();
+      if (p.accumulate) {
+        acc = full ? _mm256_loadu_ps(orow) : _mm256_maskload_ps(orow, mask);
+      }
+      const float* lrow = p.left + r * p.lc;
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < NQ; ++i) {
+        if (lrow[i] != 0.0f) {
+          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(lrow + i), mid[i], acc);
+        }
+      }
+      if (full) {
+        _mm256_storeu_ps(orow, acc);
+      } else {
+        _mm256_maskstore_ps(orow, mask, acc);
+      }
+    }
   }
 }
 
-// One strip of ≤16 columns of the small-block MAC: C row segment stays in
-// two (masked) vectors across the whole k loop.
-AIC_AVX2_KERNEL void block_mac_avx2_strip(
-    std::size_t m, std::size_t n, std::size_t k, const float* a,
-    std::size_t lda, const float* b, std::size_t ldb, float* c,
-    std::size_t ldc) {
-  const std::size_t lanes0 = std::min<std::size_t>(n, 8);
-  const std::size_t lanes1 = n > 8 ? n - 8 : 0;
-  const __m256i mask0 = tail_mask(lanes0);
-  const __m256i mask1 = tail_mask(lanes1);
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    const float* arow = a + i * lda;
-    __m256 c0 = _mm256_maskload_ps(crow, mask0);
-    __m256 c1 = lanes1 ? _mm256_maskload_ps(crow + 8, mask1)
-                       : _mm256_setzero_ps();
-    for (std::size_t p = 0; p < k; ++p) {
-      const __m256 av = _mm256_broadcast_ss(arow + p);
-      const float* brow = b + p * ldb;
-      c0 = _mm256_fmadd_ps(av, _mm256_maskload_ps(brow, mask0), c0);
-      if (lanes1) {
-        c1 = _mm256_fmadd_ps(av, _mm256_maskload_ps(brow + 8, mask1), c1);
+// block_pass_avx2<8> for 8×8 right blocks with at most 4 kept columns
+// (compress at block 8, CF ≤ 4), two right blocks per vector and an even
+// number of blocks. A row's 16 floats of blocks A and B become
+// [A0..3 | B0..3] and [A4..7 | B4..7], and permute_ps broadcasts element
+// k within each 128-bit lane against right row k copied into both lanes:
+// lane j of half h of mid row q is mid[q][j] of block 2·pair + h, with
+// the same chain.
+AIC_AVX2_KERNEL void block_pairs_avx2(const BlockPass& p) {
+  const __m128i mask = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(kMaskSrc + 8 - p.rc));
+  __m256 rv[8];
+#pragma GCC unroll 8
+  for (std::size_t k = 0; k < 8; ++k) {
+    const __m128 r = _mm_maskload_ps(p.right + k * p.rc, mask);
+    rv[k] = _mm256_set_m128(r, r);
+  }
+  for (std::size_t jb = 0; jb < p.blocks; jb += 2) {
+    const float* x = p.in + jb * 8;
+    __m256 mid[8];
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < 8; ++q) {
+      const __m256 x0 = _mm256_loadu_ps(x + q * p.w);
+      const __m256 x1 = _mm256_loadu_ps(x + q * p.w + 8);
+      const __m256 lo = _mm256_permute2f128_ps(x0, x1, 0x20);
+      const __m256 hi = _mm256_permute2f128_ps(x0, x1, 0x31);
+      __m256 m = _mm256_setzero_ps();
+      m = _mm256_fmadd_ps(_mm256_permute_ps(lo, 0x00), rv[0], m);
+      m = _mm256_fmadd_ps(_mm256_permute_ps(lo, 0x55), rv[1], m);
+      m = _mm256_fmadd_ps(_mm256_permute_ps(lo, 0xAA), rv[2], m);
+      m = _mm256_fmadd_ps(_mm256_permute_ps(lo, 0xFF), rv[3], m);
+      m = _mm256_fmadd_ps(_mm256_permute_ps(hi, 0x00), rv[4], m);
+      m = _mm256_fmadd_ps(_mm256_permute_ps(hi, 0x55), rv[5], m);
+      m = _mm256_fmadd_ps(_mm256_permute_ps(hi, 0xAA), rv[6], m);
+      m = _mm256_fmadd_ps(_mm256_permute_ps(hi, 0xFF), rv[7], m);
+      mid[q] = m;
+    }
+    for (std::size_t r = 0; r < p.lr; ++r) {
+      float* orow = p.out + r * p.out_w + jb * p.rc;
+      __m256 acc = _mm256_setzero_ps();
+      const float* lrow = p.left + r * p.lc;
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < 8; ++q) {
+        if (lrow[q] != 0.0f) {
+          acc = _mm256_fmadd_ps(_mm256_broadcast_ss(lrow + q), mid[q], acc);
+        }
+      }
+      if (p.rc == 4) {
+        _mm256_storeu_ps(orow, acc);
+      } else {
+        _mm_maskstore_ps(orow, mask, _mm256_castps256_ps128(acc));
+        _mm_maskstore_ps(orow + p.rc, mask, _mm256_extractf128_ps(acc, 1));
       }
     }
-    _mm256_maskstore_ps(crow, mask0, c0);
-    if (lanes1) _mm256_maskstore_ps(crow + 8, mask1, c1);
   }
+}
+
+// One pass of nq mid rows: the paired kernel where it applies (its odd
+// last block runs alone), else the NQ-register body.
+void run_pass_avx2(const BlockPass& p, std::size_t nq) {
+  if (nq == 8 && p.rr == 8 && p.rc <= 4 && !p.accumulate) {
+    BlockPass pairs = p;
+    pairs.blocks = p.blocks / 2 * 2;
+    block_pairs_avx2(pairs);
+    if (pairs.blocks == p.blocks) return;
+    BlockPass last = p;
+    last.in += pairs.blocks * p.rr;
+    last.out += pairs.blocks * p.rc;
+    last.blocks = 1;
+    block_pass_avx2<8>(last);
+    return;
+  }
+  using Pass = void (*)(const BlockPass&);
+  static constexpr Pass kPasses[kPassRows] = {
+      &block_pass_avx2<1>, &block_pass_avx2<2>, &block_pass_avx2<3>,
+      &block_pass_avx2<4>, &block_pass_avx2<5>, &block_pass_avx2<6>,
+      &block_pass_avx2<7>, &block_pass_avx2<8>};
+  kPasses[nq - 1](p);
 }
 
 #endif  // AIC_GEMM_X86
@@ -390,30 +494,45 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   counters.gemm_flops.add(static_cast<std::uint64_t>(2) * m * n * k);
 }
 
-void axpy_row(float alpha, const float* src, float* dst,
-              std::size_t n) noexcept {
+void block_sandwich_items(const float* left, const float* right,
+                          const float* in, float* out, const SandwichDims& d,
+                          std::size_t lo, std::size_t hi) noexcept {
+  const bool avx2 = avx2_active();
+  const std::size_t block_rows = d.h / d.lc;
+  for (std::size_t item = lo; item < hi; ++item) {
+    const std::size_t plane = item / block_rows;
+    const std::size_t block_row = item % block_rows;
+    const float* in_rows = in + plane * d.h * d.w + block_row * d.lc * d.w;
+    float* out_rows =
+        out + plane * d.out_h * d.out_w + block_row * d.lr * d.out_w;
+    for (std::size_t c0 = 0; c0 < d.rc; c0 += kPassLanes) {
+      for (std::size_t q0 = 0; q0 < d.lc; q0 += kPassRows) {
+        const BlockPass pass{.in = in_rows + q0 * d.w,
+                             .w = d.w,
+                             .right = right + c0,
+                             .rr = d.rr,
+                             .rc = d.rc,
+                             .left = left + q0,
+                             .lc = d.lc,
+                             .lr = d.lr,
+                             .out = out_rows + c0,
+                             .out_w = d.out_w,
+                             .blocks = d.w / d.rr,
+                             .lanes = std::min(kPassLanes, d.rc - c0),
+                             .accumulate = q0 > 0};
+        const std::size_t nq = std::min(kPassRows, d.lc - q0);
 #if AIC_GEMM_X86
-  if (avx2_active()) {
-    axpy_avx2(alpha, src, dst, n);
-    return;
-  }
+        if (avx2) {
+          run_pass_avx2(pass, nq);
+          continue;
+        }
+#else
+        (void)avx2;
 #endif
-  axpy_scalar(alpha, src, dst, n);
-}
-
-void block_mac(std::size_t m, std::size_t n, std::size_t k, const float* a,
-               std::size_t lda, const float* b, std::size_t ldb, float* c,
-               std::size_t ldc) noexcept {
-#if AIC_GEMM_X86
-  if (avx2_active()) {
-    for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
-      const std::size_t width = std::min(kNr, n - j0);
-      block_mac_avx2_strip(m, width, k, a, lda, b + j0, ldb, c + j0, ldc);
+        block_pass_scalar(pass, nq);
+      }
     }
-    return;
   }
-#endif
-  block_mac_scalar(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 }  // namespace aic::tensor

@@ -28,11 +28,13 @@ struct KernelCounters {
   obs::Counter& microkernel_calls;
   /// Microkernel invocations on partial tiles (mr < MR or nr < NR).
   obs::Counter& tail_tiles;
-  /// Wide fused-multiply-add row updates (block sandwich stage 2).
+  /// Block sandwich output-row updates: one per non-zero left-tile entry
+  /// per block row, each out_w wide (stage 2, closed form per call).
   obs::Counter& axpy_calls;
-  /// Small dense block MACs (block sandwich stage 1).
+  /// Block sandwich mid products: one per (block row, right block), each
+  /// lc×rr·rr×rc (stage 1, closed form per call).
   obs::Counter& block_mac_calls;
-  /// 2·m·n·k FLOPs issued through gemm (excludes axpy/block_mac work).
+  /// 2·m·n·k FLOPs issued through gemm (excludes block sandwich work).
   obs::Counter& gemm_flops;
 };
 
@@ -55,23 +57,35 @@ inline constexpr std::size_t kGemmMc = 120;
 /// Parallel over row blocks via the global pool (degrades to inline when
 /// invoked from a pool worker). Each output element is one ascending-k
 /// accumulation chain regardless of shape, blocking, or thread count, so
-/// results are deterministic and bit-identical to the axpy_row /
-/// block_mac primitives on the same backend.
+/// results are deterministic and bit-identical to the block sandwich
+/// kernel's chains on the same backend.
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
           std::size_t k, const float* a, std::size_t lda, const float* b,
           std::size_t ldb, float* c, std::size_t ldc, bool accumulate);
 
-/// dst[0..n) += alpha · src[0..n), dispatched to the active backend with
-/// the same per-element FMA semantics as the gemm microkernel.
-void axpy_row(float alpha, const float* src, float* dst,
-              std::size_t n) noexcept;
+/// Geometry of a block-diagonal sandwich (matmul.hpp block_sandwich_into):
+/// `planes` planes of h×w floats in, out_h×out_w out, the left tile lr×lc
+/// and the right tile rr×rc. Item i is block row i % (h / lc) of plane
+/// i / (h / lc).
+struct SandwichDims {
+  std::size_t planes, h, w, out_h, out_w;
+  std::size_t lr, lc, rr, rc;
+};
 
-/// C += A·B for a small dense block (m×k · k×n, arbitrary leading
-/// dimensions, no packing). Tuned for the block-sandwich inner blocks
-/// where n is a handful of columns; accumulation order per element is
-/// ascending k, matching gemm on the same backend bit-for-bit.
-void block_mac(std::size_t m, std::size_t n, std::size_t k, const float* a,
-               std::size_t lda, const float* b, std::size_t ldb, float* c,
-               std::size_t ldc) noexcept;
+/// Items [lo, hi) of the sandwich, on the calling thread. An item's lr
+/// output rows are left · (in_rows · R), R block-diagonal in `right`, one
+/// right block at a time: the block's mid product sits in (at most) eight
+/// vector registers while every output row of the block is formed from
+/// it, and only the output is written. Each element keeps the chains of
+/// the dense two-gemm sandwich: the mid is an ascending-k FMA chain from
+/// +0, the output an ascending-q chain from +0 that skips the exact-zero
+/// entries of `left` (structural zeros; only the sign of an exact-zero
+/// result can differ from the dense path). Tiles wider than 8 columns run
+/// in 8-column strips, and tiles with more than 8 mid rows in 8-row
+/// passes that continue the output chains in memory. Allocates nothing;
+/// adds no counters (block_sandwich_into adds them per call).
+void block_sandwich_items(const float* left, const float* right,
+                          const float* in, float* out, const SandwichDims& d,
+                          std::size_t lo, std::size_t hi) noexcept;
 
 }  // namespace aic::tensor

@@ -34,12 +34,13 @@ void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
 /// This is Eq. 4/6 of the paper: LHS = M·T_L repeats the CF×block tile
 /// taken from the first CF rows of the block transform (Fig. 4), and
 /// RHS = LHSᵀ repeats its transpose. Work items are (plane, block-row)
-/// pairs run once over the pool; each forms its mid product in a
-/// fixed-size stack strip (block_mac) and the output rows with one
-/// axpy_row per non-zero tile entry, so no call allocates. Every element
-/// equals the one `matmul(L, matmul(plane, R))` produces with the dense
-/// operators exactly (same ascending-k chains through the shared kernel
-/// layer; the only admissible difference is the sign of exact zeros).
+/// pairs run once over the pool through the register-resident block
+/// kernel (gemm_kernels.hpp block_sandwich_items), so no call allocates.
+/// Every element equals the one `matmul(L, matmul(plane, R))` produces
+/// with the dense operators exactly (same ascending-k chains through the
+/// shared kernel layer; the only admissible difference is the sign of
+/// exact zeros). Adds the closed-form `kernel.block_mac_calls` and
+/// `kernel.axpy_calls` once per call.
 void block_sandwich_into(const Tensor& left, const Tensor& in,
                          const Tensor& right, Tensor& out);
 

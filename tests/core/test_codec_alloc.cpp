@@ -3,7 +3,8 @@
 // triangle, partial) on a 1024² batch (whole tensors, or a plane range
 // of caller memory) makes no heap allocation of 1 KiB or more, at pool
 // sizes 1 and 4. And the header parse of a crafted archive whose `block`
-// field is huge builds only the kept rows of the block transform.
+// field is huge builds only the kept rows of the block transform, and
+// none at all when its `cf` is as huge as the payload is not.
 // Links aic_memprobe, which counts every operator new of this binary
 // (pool workers included).
 
@@ -18,6 +19,7 @@
 #include "cli/archive.hpp"
 #include "cli/robustness_suite.hpp"
 #include "core/codec_factory.hpp"
+#include "io/error.hpp"
 #include "runtime/context.hpp"
 #include "runtime/rng.hpp"
 #include "support/memory_probe.hpp"
@@ -153,6 +155,40 @@ TEST(HostileBlock, HeaderParseBuildsOnlyTheKeptRows) {
     EXPECT_EQ(after, before) << transform << ": allocations >= 1 MiB";
     EXPECT_EQ(archive.original_shape, Shape::bchw(1, 1, 4096, 4096));
     EXPECT_EQ(archive.packed.shape(), Shape::bchw(1, 1, 1, 1));
+  }
+}
+
+/// cf is bounded only by block, so a crafted header may also claim
+/// cf = block = H = W = 4096 over an 8×8 payload. The payload length is
+/// checked against the shape those fields promise before the codec, its
+/// 4096×4096 tile or the triangle's cell table is built.
+TEST(HostileBlock, ChopFactorAtBlockFailsBeforeTheTileIsBuilt) {
+  runtime::Rng rng(24);
+  const Tensor input =
+      Tensor::uniform(Shape::bchw(1, 1, 8, 8), rng, -1.0f, 1.0f);
+  for (const char* spec : {"dctchop:cf=1,block=8", "triangle:cf=1,block=8"}) {
+    std::string bytes = cli::compress_to_archive_bytes(input, spec);
+    // Header field offsets: u16 cf @2, u16 block @4, u64 dims[4] @12
+    // (H @28, W @36).
+    const std::uint16_t edge = 4096;
+    const std::uint64_t dim = 4096;
+    bytes = cli::patch_header_field(bytes, 4, 2, &edge, sizeof(edge));
+    bytes = cli::patch_header_field(bytes, 4, 4, &edge, sizeof(edge));
+    bytes = cli::patch_header_field(bytes, 4, 28, &dim, sizeof(dim));
+    bytes = cli::patch_header_field(bytes, 4, 36, &dim, sizeof(dim));
+    const Context ctx{Context::Options{}};  // its own, empty plan cache
+
+    testsupport::set_large_alloc_threshold(std::size_t{1} << 20);
+    const std::uint64_t before = testsupport::alloc_stats().large_allocs;
+    try {
+      (void)cli::deserialize_archive(bytes, ctx);
+      ADD_FAILURE() << spec << ": the crafted header was accepted";
+    } catch (const io::CorruptStream& error) {
+      EXPECT_EQ(error.kind(), io::CorruptKind::kPayloadMismatch)
+          << spec << ": " << error.what();
+    }
+    const std::uint64_t after = testsupport::alloc_stats().large_allocs;
+    EXPECT_EQ(after, before) << spec << ": allocations >= 1 MiB";
   }
 }
 

@@ -232,8 +232,8 @@ void expect_block_matches_dense(const Tensor& left, const Tensor& in,
 }
 
 // The block kernel must agree with the dense path bit-for-bit under every
-// backend: block_mac / axpy_row issue the same ascending-k fused chains
-// as the packed microkernel.
+// backend: it issues the same ascending-k chains as the packed
+// microkernel.
 TEST(GemmSandwich, BandedMatchesDenseOnEveryBackend) {
   runtime::Rng rng(25);
   const std::size_t bands = 4, cf = 4, block = 8;
@@ -255,9 +255,9 @@ TEST(GemmSandwich, BandedMatchesDenseOnEveryBackend) {
   }
 }
 
-// Tiles too large for one stack strip (lc·rc > 4096 floats) split the
-// inner rows, and wide planes split the columns; neither split may move
-// a bit.
+// Tiles with more than 8 mid rows run in 8-row passes and tiles wider
+// than 8 columns in 8-column strips (96×72 needs 12 passes × 9 strips);
+// neither split may move a bit, and neither may a wide plane.
 TEST(GemmSandwich, StripSplitsKeepTheDenseBits) {
   runtime::Rng rng(30);
   const Tensor tall = Tensor::uniform(Shape::matrix(3, 96), rng, -1.0f, 1.0f);
@@ -274,6 +274,105 @@ TEST(GemmSandwich, StripSplitsKeepTheDenseBits) {
     runtime::set_kernel_backend(backend);
     expect_block_matches_dense(tall, in_rows, wide);  // 96·72 > 4096
     expect_block_matches_dense(small, in_cols, small.transposed());
+  }
+}
+
+// Each element of block_sandwich_into, spelled out: the mid is an
+// ascending-k chain from +0 over every right-tile entry, the output an
+// ascending-q chain from +0 that skips the exact-zero left-tile entries;
+// FMA steps on AVX2, multiply-then-add on scalar.
+std::vector<float> sandwich_chains(const Tensor& left, const Tensor& in,
+                                   const Tensor& right, bool fused) {
+  const std::size_t lr = left.shape()[0], lc = left.shape()[1];
+  const std::size_t rr = right.shape()[0], rc = right.shape()[1];
+  const std::size_t planes = in.shape()[0] * in.shape()[1];
+  const std::size_t h = in.shape()[2], w = in.shape()[3];
+  const std::size_t out_h = h / lc * lr, out_w = w / rr * rc;
+  const auto step = [fused](float a, float b, float acc) {
+    return fused ? std::fma(a, b, acc) : acc + a * b;
+  };
+  std::vector<float> out(planes * out_h * out_w);
+  std::vector<float> mid(lc);
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* x = in.raw() + p * h * w;
+    for (std::size_t bi = 0; bi < h / lc; ++bi) {
+      for (std::size_t bj = 0; bj < w / rr; ++bj) {
+        for (std::size_t c = 0; c < rc; ++c) {
+          for (std::size_t q = 0; q < lc; ++q) {
+            float m = 0.0f;
+            for (std::size_t k = 0; k < rr; ++k) {
+              m = step(x[(bi * lc + q) * w + bj * rr + k], right.at(k, c), m);
+            }
+            mid[q] = m;
+          }
+          for (std::size_t r = 0; r < lr; ++r) {
+            float acc = 0.0f;
+            for (std::size_t q = 0; q < lc; ++q) {
+              if (left.at(r, q) != 0.0f) acc = step(left.at(r, q), mid[q], acc);
+            }
+            out[(p * out_h + bi * lr + r) * out_w + bj * rc + c] = acc;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Tiles with structural zeros, including an all-zero row, over an input
+// holding an infinity: every output element must equal its spelled-out
+// chain bit for bit (sign of zero included), so the zero-skip stays
+// pinned. Without the skip, 0·inf would turn the rows whose tile entry
+// is zero into NaN. The shapes cover the compress- and decompress-shaped
+// tiles at block 8 (two right blocks per vector, and an unpaired last
+// block) and a tile needing two passes and two strips.
+TEST(GemmSandwich, StructuralZerosAreSkippedBitwise) {
+  runtime::Rng rng(31);
+  struct Tiles {
+    std::size_t lr, lc, rr, rc, h, w;
+  };
+  for (const Tiles t : {Tiles{3, 8, 8, 3, 16, 24}, Tiles{4, 8, 8, 4, 8, 40},
+                        Tiles{6, 8, 8, 6, 16, 24}, Tiles{8, 3, 3, 8, 6, 9},
+                        Tiles{5, 12, 12, 10, 24, 36}}) {
+    Tensor left = Tensor::uniform(Shape::matrix(t.lr, t.lc), rng, -1.0f, 1.0f);
+    Tensor right =
+        Tensor::uniform(Shape::matrix(t.rr, t.rc), rng, -1.0f, 1.0f);
+    for (std::size_t q = 0; q < t.lc; ++q) left.at(1, q) = 0.0f;  // a zero row
+    for (std::size_t r = 0; r < t.lr; r += 2) left.at(r, 2) = 0.0f;
+    left.at(t.lr - 1, t.lc - 1) = -0.0f;
+    right.at(0, t.rc - 1) = 0.0f;
+    Tensor in =
+        Tensor::uniform(Shape::bchw(1, 2, t.h, t.w), rng, -1.0f, 1.0f);
+    in.at(2 * t.w + t.w - 1) = INFINITY;  // mid row 2 of the last block
+    for (const KernelBackend backend :
+         {KernelBackend::kScalar, KernelBackend::kAvx2}) {
+      if (backend == KernelBackend::kAvx2 && !simd_supported()) continue;
+      BackendGuard guard;
+      runtime::set_kernel_backend(backend);
+      Tensor out(Shape::bchw(1, 2, t.h / t.lc * t.lr, t.w / t.rr * t.rc));
+      block_sandwich_into(left, in, right, out);
+      const std::vector<float> want =
+          sandwich_chains(left, in, right, backend == KernelBackend::kAvx2);
+      ASSERT_EQ(out.numel(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (std::isnan(want[i])) {
+          EXPECT_TRUE(std::isnan(out.at(i))) << runtime::kernel_backend_name() << " flat " << i;
+        } else {
+          EXPECT_EQ(std::signbit(out.at(i)), std::signbit(want[i]))
+              << runtime::kernel_backend_name() << " flat " << i;
+          EXPECT_EQ(out.at(i), want[i])
+              << runtime::kernel_backend_name() << " flat " << i;
+        }
+      }
+      // The all-zero row of the last block row is +0 despite the
+      // infinity; the rows with a zero at q = 2 stay finite.
+      const std::size_t out_w = t.w / t.rr * t.rc;
+      for (std::size_t c = 0; c < out_w; ++c) {
+        EXPECT_EQ(out.at(out_w + c), 0.0f);
+        EXPECT_FALSE(std::signbit(out.at(out_w + c)));
+        EXPECT_TRUE(std::isfinite(out.at(c))) << c;
+      }
+    }
   }
 }
 
@@ -295,37 +394,6 @@ TEST(GemmSandwich, SimdAndScalarSandwichAgreeWithinTolerance) {
   runtime::set_kernel_backend(KernelBackend::kAvx2);
   block_sandwich_into(left, in, right, simd_out);
   expect_rel_close(scalar_out, simd_out, 1e-5, "sandwich parity");
-}
-
-TEST(GemmPrimitives, AxpyAndBlockMacMatchNaive) {
-  runtime::Rng rng(27);
-  for (const KernelBackend backend :
-       {KernelBackend::kScalar, KernelBackend::kAvx2}) {
-    if (backend == KernelBackend::kAvx2 && !simd_supported()) continue;
-    BackendGuard guard;
-    runtime::set_kernel_backend(backend);
-    for (const std::size_t n : {1u, 4u, 7u, 8u, 9u, 16u, 23u, 64u}) {
-      std::vector<float> src(n), dst(n), expect(n);
-      for (std::size_t j = 0; j < n; ++j) {
-        src[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
-        dst[j] = static_cast<float>(rng.uniform(-1.0, 1.0));
-        expect[j] = dst[j];
-      }
-      const float alpha = 0.75f;
-      axpy_row(alpha, src.data(), dst.data(), n);
-      for (std::size_t j = 0; j < n; ++j) {
-        EXPECT_NEAR(dst[j], expect[j] + alpha * src[j], 1e-6) << n;
-      }
-    }
-    // block_mac vs naive on an odd-shaped block (n spans both tile halves).
-    const std::size_t m = 5, n = 11, k = 9;
-    const Tensor a = Tensor::uniform(Shape::matrix(m, k), rng, -1.0f, 1.0f);
-    const Tensor b = Tensor::uniform(Shape::matrix(k, n), rng, -1.0f, 1.0f);
-    Tensor c(Shape::matrix(m, n));
-    block_mac(m, n, k, a.raw(), k, b.raw(), n, c.raw(), n);
-    expect_rel_close(c, matmul_naive(a, b, Trans::kNo, Trans::kNo), 1e-5,
-                     "block_mac");
-  }
 }
 
 /// The `kernel.*` registry counters, keyed without the prefix (a counter
