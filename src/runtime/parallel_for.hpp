@@ -19,11 +19,11 @@ struct ParallelOptions {
 /// chunks of work) impossible to assert on.
 struct ParallelForStats {
   /// Ranges executed inline on the caller (small range, size-1 pool, or
-  /// re-entrant call from a worker).
+  /// re-entrant call from a pool task or a parallel_for chunk).
   std::uint64_t inline_runs = 0;
-  /// Ranges fanned out over the pool.
+  /// Ranges fanned out over the caller and pool helpers.
   std::uint64_t parallel_runs = 0;
-  /// Iterations, chosen chunk size, and task count of the most recent
+  /// Iterations, chosen chunk size, and chunk count of the most recent
   /// fanned-out range.
   std::uint64_t last_total = 0;
   std::uint64_t last_chunk = 0;
@@ -36,11 +36,14 @@ ParallelForStats parallel_for_stats();
 /// Zeroes the partitioning counters.
 void reset_parallel_for_stats();
 
-/// Runs `body(i)` for every i in [begin, end) across the global thread
+/// Runs `body(i)` for every i in [begin, end) across the current thread
 /// pool, splitting the range into contiguous chunks.
 ///
-/// Blocks until all chunks complete. Exceptions thrown by `body` are
-/// rethrown on the calling thread (the first one wins).
+/// The caller runs chunks too: it and up to `chunks - 1` pool helpers
+/// claim chunks from one cursor, and the call returns once every chunk
+/// has run. A call from inside a chunk or a pool task runs inline.
+/// Every chunk runs even when one throws; the exception of the lowest
+/// failing chunk is then rethrown on the calling thread.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   ParallelOptions options = {});

@@ -15,7 +15,8 @@ namespace aic::runtime {
 
 /// Point-in-time counters of a ThreadPool (see ThreadPool::stats()).
 struct ThreadPoolStats {
-  /// Tasks that ran on a worker thread.
+  /// Tasks that ran on a worker thread. A fanned-out `parallel_for`
+  /// adds one per helper it posts, not one per chunk.
   std::uint64_t tasks_executed = 0;
   /// Re-entrant submits that ran inline on the calling worker instead of
   /// being queued (see ThreadPool::submit).
@@ -29,7 +30,9 @@ struct ThreadPoolStats {
 /// The pool is the execution backend for `parallel_for` and for the
 /// accelerator simulators' host-side math. Tasks are arbitrary
 /// `void()` callables; `submit` additionally returns a future for
-/// callables with a result.
+/// callables with a result. `parallel_for` uses neither futures nor one
+/// task per chunk: it `post`s at most one helper per worker, and the
+/// helpers and the calling thread claim chunks from one shared cursor.
 ///
 /// Re-entry safety: a `submit` issued from one of the pool's own worker
 /// threads runs inline on that worker instead of being queued. Queueing

@@ -27,8 +27,8 @@ constexpr std::size_t kMc = kGemmMc;
 static_assert(kMc % kMr == 0, "row block must be a whole number of panels");
 
 // Per-thread pack scratch, grown monotonically and reused across calls.
-// A and B use distinct buffers because the thread that packs B may also
-// run row chunks (inline-degraded parallel_for) and pack A.
+// A and B use distinct buffers because the thread that packs B also
+// runs row chunks of its own parallel_for and packs A.
 float* pack_scratch_a(std::size_t count) {
   thread_local runtime::AlignedBuffer<float> buffer;
   if (buffer.size() < count) buffer = runtime::AlignedBuffer<float>(count);
@@ -446,8 +446,9 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
   const bool avx2 = avx2_active();
   AIC_TRACE_SCOPE(avx2 ? "gemm.avx2" : "gemm.scalar");
 
-  // B is packed once on the calling thread; workers only read it (the
-  // caller blocks inside parallel_for, keeping the scratch alive).
+  // B is packed once on the calling thread; the row chunks only read it
+  // (the caller stays inside parallel_for until every chunk has run,
+  // keeping the scratch alive).
   const std::size_t n_panels = (n + kNr - 1) / kNr;
   float* packed_b = pack_scratch_b(n_panels * kNr * k);
   pack_b(trans_b, b, ldb, n, k, packed_b);

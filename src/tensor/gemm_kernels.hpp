@@ -54,11 +54,11 @@ inline constexpr std::size_t kGemmMc = 120;
 /// Both operands are packed — transpose-aware, zero-padded to full
 /// MR/NR panels — into per-thread 64-byte-aligned scratch that is reused
 /// across calls, then a register-blocked microkernel sweeps the tiles.
-/// Parallel over row blocks via the global pool (degrades to inline when
-/// invoked from a pool worker). Each output element is one ascending-k
-/// accumulation chain regardless of shape, blocking, or thread count, so
-/// results are deterministic and bit-identical to the block sandwich
-/// kernel's chains on the same backend.
+/// Parallel over row blocks via the current pool (inline when invoked
+/// from a pool task or a parallel_for chunk). Each output element is one
+/// ascending-k accumulation chain regardless of shape, blocking, or
+/// thread count, so results are deterministic and bit-identical to the
+/// block sandwich kernel's chains on the same backend.
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
           std::size_t k, const float* a, std::size_t lda, const float* b,
           std::size_t ldb, float* c, std::size_t ldc, bool accumulate);

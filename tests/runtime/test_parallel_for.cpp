@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -202,6 +205,144 @@ TEST(ParallelForNested, ReentrantCallFromWorkerInlinesAndIsCounted) {
   const ParallelForStats stats = parallel_for_stats();
   EXPECT_GE(stats.inline_runs, 1u);
   EXPECT_EQ(stats.parallel_runs, 0u);
+}
+
+/// A private pool of `threads` workers bound to this thread for the
+/// scope's lifetime.
+struct PrivatePool {
+  explicit PrivatePool(std::size_t threads)
+      : ctx(options(threads)), scope(ctx) {}
+  static Context::Options options(std::size_t threads) {
+    Context::Options out;
+    out.threads = threads;
+    out.own_pool = true;
+    return out;
+  }
+  Context ctx;
+  Context::PoolScope scope;
+};
+
+/// Parks every worker of `pool` until release() (or a ~2 s timeout, so a
+/// caller that waits on the workers fails its test instead of hanging).
+class ParkedWorkers {
+ public:
+  explicit ParkedWorkers(ThreadPool& pool) : released_(release_.get_future()) {
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      pool.post([released = released_] {
+        released.wait_for(std::chrono::seconds(2));
+      });
+    }
+  }
+  ~ParkedWorkers() { release(); }
+  void release() {
+    if (!done_) release_.set_value();
+    done_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+  bool done_ = false;
+};
+
+TEST(ParallelFor, CallerFinishesWhileWorkersAreBusy) {
+  // Both workers are parked, so every chunk must run on the caller, and
+  // the call must return before the workers are released.
+  PrivatePool pool(2);
+  ParkedWorkers parked(pool.ctx.pool());
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(8);
+  reset_parallel_for_stats();
+  parallel_for_chunks(
+      0, 8,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          ran_on[i] = std::this_thread::get_id();
+        }
+      },
+      {.grain = 1});
+  EXPECT_EQ(parallel_for_stats().last_tasks, 8u);
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], caller) << "chunk " << i;
+  }
+  parked.release();
+}
+
+TEST(ParallelFor, HelpersStartedLateFindNoWork) {
+  // Each call's helpers queue behind a slow pool task, so most start
+  // after the caller has run every chunk and returned. They must find no
+  // chunk left and touch nothing of the finished call (ASan would flag a
+  // read of `hits` after its scope).
+  for (const std::size_t threads : {1, 2, 4}) {
+    PrivatePool pool(threads);
+    for (int call = 0; call < 32; ++call) {
+      pool.ctx.pool().post(
+          [] { std::this_thread::sleep_for(std::chrono::microseconds(300)); });
+      std::vector<int> hits(512, 0);
+      parallel_for_chunks(
+          0, hits.size(),
+          [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+          },
+          {.grain = 16});
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i], 1) << "threads " << threads << " call " << call
+                              << " index " << i;
+      }
+    }
+    pool.ctx.pool().wait_idle();
+  }
+}
+
+TEST(ParallelFor, LowestFailingChunkExceptionIsRethrown) {
+  // Two chunks throw; every chunk still runs, and the caller sees the
+  // exception of the lower-index chunk, though it throws later.
+  PrivatePool pool(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::atomic<int> ran{0};
+    try {
+      parallel_for_chunks(
+          0, 16,
+          [&](std::size_t lo, std::size_t) {
+            ran.fetch_add(1);
+            if (lo == 5) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            if (lo == 5 || lo == 11) {
+              throw std::runtime_error("chunk " + std::to_string(lo));
+            }
+          },
+          {.grain = 1});
+      FAIL() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 5");
+    }
+    EXPECT_EQ(ran.load(), 16);
+  }
+}
+
+TEST(ParallelForNested, CallerChunkRunsNestedCallInline) {
+  // With the workers parked, the caller runs every outer chunk; a nested
+  // call from those chunks must run inline, as it does on a worker,
+  // instead of fanning out on its own.
+  PrivatePool pool(2);
+  ParkedWorkers parked(pool.ctx.pool());
+  std::atomic<int> count{0};
+  reset_parallel_for_stats();
+  parallel_for_chunks(
+      0, 8,
+      [&](std::size_t, std::size_t) {
+        parallel_for(
+            0, 4096,
+            [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); },
+            {.grain = 1});
+      },
+      {.grain = 1});
+  parked.release();
+  EXPECT_EQ(count.load(), 8 * 4096);
+  const ParallelForStats stats = parallel_for_stats();
+  EXPECT_EQ(stats.parallel_runs, 1u);
+  EXPECT_EQ(stats.inline_runs, 8u);
 }
 
 TEST(ParallelForChunks, GrainZeroIsTreatedAsOne) {
