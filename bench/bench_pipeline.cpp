@@ -51,7 +51,6 @@ constexpr const char* kSpec = "dctchop:cf=4,block=8";
 aic::Context session(std::size_t threads) {
   aic::Context::Options options;
   options.threads = threads;
-  options.own_pool = true;
   return aic::Context(options);
 }
 

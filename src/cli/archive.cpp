@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <fstream>
 #include <functional>
-#include <future>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -15,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baseline/chunk_entropy.hpp"
@@ -28,7 +29,6 @@
 #include "io/tensor_io.hpp"
 #include "obs/pipeline.hpp"
 #include "obs/trace.hpp"
-#include "runtime/aligned_buffer.hpp"
 #include "runtime/buffer_pool.hpp"
 #include "runtime/context.hpp"
 #include "runtime/parallel_for.hpp"
@@ -327,6 +327,33 @@ std::size_t write_to_stream(
   return written;
 }
 
+/// The completion of one task posted to the session pool. The task keeps
+/// its exception in `error` and counts `done` down last; the poster waits
+/// on `done`, then moves the error out and rethrows it on its own thread,
+/// so the exception's last reference drops there (ThreadSanitizer cannot
+/// see the exception_ptr refcount).
+struct TaskSlot {
+  std::exception_ptr error;
+  std::latch done{1};
+
+  /// Runs `body` as the task, then releases the waiter.
+  template <typename F>
+  void run(F&& body) noexcept {
+    try {
+      body();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    done.count_down();
+  }
+
+  /// Waits for the task and rethrows its exception here.
+  void join() {
+    done.wait();
+    if (error) std::rethrow_exception(std::exchange(error, nullptr));
+  }
+};
+
 /// The one v4 writer. Payload bytes arrive in order through feed() and
 /// fill pooled chunk buffers; each full chunk is entropy coded and CRC'd
 /// on the session pool while the producer keeps going, with at most two
@@ -421,48 +448,52 @@ class ChunkPipeline {
  private:
   struct InFlight {
     runtime::BufferPool::Buffer plain;
-    std::future<EncodedChunk> encoded;
+    EncodedChunk encoded;
+    TaskSlot task;
   };
 
-  /// Chunks submitted and not yet written. Destruction waits for every
+  /// Chunks posted and not yet written. Destruction waits for every
   /// encode, so a throw from the producer, from finish(), or from the
   /// constructor's own feed() never hands a buffer back to the pool
   /// while a worker still reads it.
   struct InFlightQueue : std::deque<InFlight> {
     ~InFlightQueue() {
-      for (InFlight& chunk : *this) {
-        if (chunk.encoded.valid()) chunk.encoded.wait();
-      }
+      for (InFlight& chunk : *this) chunk.task.done.wait();
     }
   };
 
   void submit() {
     while (in_flight_.size() >= max_in_flight_) retire();
     // Queued before its task exists, so no throw can leave a running
-    // encode whose buffer the queue does not wait for.
-    InFlight& queued = in_flight_.emplace_back();
-    queued.plain = std::move(current_);
-    const std::string_view plain(queued.plain.data(), fill_);
-    queued.encoded =
-        pool_->submit([plain, entropy = entropy_, ns = &encode_ns_] {
+    // encode whose buffer the queue does not wait for. A deque keeps the
+    // slot in place while later chunks are queued and earlier retired.
+    InFlight& slot = in_flight_.emplace_back();
+    slot.plain = std::move(current_);
+    try {
+      pool_->post([this, &slot] {
+        slot.task.run([&] {
           runtime::Timer timer;
-          EncodedChunk chunk = encode_one_chunk(plain, entropy);
-          ns->fetch_add(timer.nanos(), std::memory_order_relaxed);
-          return chunk;
+          slot.encoded = encode_one_chunk(slot.plain.view(), entropy_);
+          encode_ns_.fetch_add(timer.nanos(), std::memory_order_relaxed);
         });
+      });
+    } catch (...) {
+      in_flight_.pop_back();  // never queued, so nothing reads it
+      throw;
+    }
     fill_ = 0;
     ++submitted_;
     // Stream out whatever has already finished, in order.
-    while (!in_flight_.empty() &&
-           in_flight_.front().encoded.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready) {
+    while (!in_flight_.empty() && in_flight_.front().task.done.try_wait()) {
       retire();
     }
   }
 
   /// Waits for the oldest chunk, records its table row, and writes it.
   void retire() {
-    const EncodedChunk chunk = in_flight_.front().encoded.get();
+    InFlight& oldest = in_flight_.front();
+    oldest.task.join();
+    const EncodedChunk& chunk = oldest.encoded;
     const std::uint64_t len = chunk.bytes.size();
     char* row = header_.data() + table_offset_ + 12 * retired_;
     std::memcpy(row, &len, sizeof(len));
@@ -567,16 +598,6 @@ Shape group_shape(const Shape& shape, std::size_t g) {
                                   : Shape::bchw(1, g, shape[2], shape[3]);
 }
 
-/// The compress producer's packed output of one plane group. It lives
-/// per thread and is reused across calls, the way the GEMM pack scratch
-/// is, so a warm compress allocates none, takes no lock and leaves the
-/// session's BufferPool to the chunk buffers.
-float* packed_scratch(std::size_t floats) {
-  thread_local runtime::AlignedBuffer<float> buffer;
-  if (buffer.size() < floats) buffer = runtime::AlignedBuffer<float>(floats);
-  return buffer.data();
-}
-
 /// The compress producer: transforms the BCHW floats at `input` in plane
 /// groups of about kGroupInputBytes, straight out of the caller's memory
 /// (a Tensor's storage or a mapped .aict), and appends each group's
@@ -606,13 +627,17 @@ std::size_t compress_to(const float* input, const Shape& shape,
           : planes;
 
   Context::PoolScope pool_scope(ctx);
+  // One packed group at a time, leased once for the largest group.
+  const runtime::BufferPool::Buffer packed_lease = ctx.buffer_pool().acquire(
+      codec->compressed_shape(group_shape(shape, step)).numel() *
+      sizeof(float));
+  float* packed = reinterpret_cast<float*>(packed_lease.data());
   ChunkPipeline pipeline(fields, packed_shape, options, ctx, sink);
   std::uint64_t transform_ns = 0;
   for (std::size_t p0 = 0; p0 < planes; p0 += step) {
     const std::size_t g = std::min(step, planes - p0);
     const Shape group = group_shape(shape, g);
     const std::size_t packed_floats = codec->compressed_shape(group).numel();
-    float* packed = packed_scratch(packed_floats);
     runtime::Timer timer;
     codec->compress_into(input + p0 * plane_floats, group, packed);
     transform_ns += timer.nanos();
@@ -926,14 +951,8 @@ RestoredArchive restore_groups(
   runtime::BufferPool::Buffer restored[2] = {
       ctx.buffer_pool().acquire(step * plane_bytes),
       ctx.buffer_pool().acquire(step * plane_bytes)};
-  // The pending write reports failure as `false` rather than through the
-  // future's exception_ptr, whose refcount ThreadSanitizer cannot see.
-  std::future<bool> written;
-  const auto wait_written = [&written] {
-    if (written.valid() && !written.get()) {
-      throw std::runtime_error("archive: stream write failed");
-    }
-  };
+  // The pending group write; each group's write gets a fresh slot.
+  std::optional<TaskSlot> written;
   try {
     for (std::size_t p0 = 0, k = 0; p0 < planes; p0 += step, ++k) {
       const std::size_t g = std::min(step, planes - p0);
@@ -946,20 +965,22 @@ RestoredArchive restore_groups(
       archive.codec->decompress_into(packed, group_shape(original, g),
                                      reinterpret_cast<float*>(buffer));
       if (out == nullptr) continue;
-      wait_written();  // frees the buffer the next group restores into
-      written = ctx.pool().submit([out, buffer, len = g * plane_bytes] {
-        try {
-          write_or_throw(*out, buffer, len);
-          return true;
-        } catch (const std::runtime_error&) {
-          return false;
-        }
-      });
+      // Frees the buffer the next group restores into.
+      if (written) written->join();
+      TaskSlot& slot = written.emplace();
+      try {
+        ctx.pool().post([&slot, out, buffer, len = g * plane_bytes] {
+          slot.run([&] { write_or_throw(*out, buffer, len); });
+        });
+      } catch (...) {
+        written.reset();  // never queued, so nothing writes from it
+        throw;
+      }
     }
-    wait_written();
+    if (written) written->join();
   } catch (...) {
     // No buffer goes back to the pool while a worker still writes it.
-    if (written.valid()) written.wait();
+    if (written) written->done.wait();
     throw;
   }
   return {archive.codec, original, packed_shape};

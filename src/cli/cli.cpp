@@ -216,8 +216,7 @@ int usage(std::ostream& err) {
          "  --entropy picks the per-chunk coding (default raw; auto\n"
          "  chooses the smallest of raw/packed/huffman per chunk).\n"
          "  --threads N sizes the shared worker pool; precedence is the\n"
-         "  flag, then AIC_THREADS, then AIC_NUM_THREADS (legacy alias),\n"
-         "  then the hardware concurrency.\n"
+         "  flag, then AIC_THREADS, then the hardware concurrency.\n"
          "  --metrics prints the per-simulator cost-model drift table, the\n"
          "  --stats table and latency percentiles (p50/p90/p99).\n"
          "  --trace <out.json> records spans and writes Chrome trace-event\n"
@@ -734,11 +733,10 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     const Options options = parse(args, bare ? 0 : 1);
     check_flags(command, options);
 
-    // Pool sizing precedence: --threads, then AIC_THREADS, then the
-    // legacy AIC_NUM_THREADS alias, then hardware concurrency. The env
-    // legs apply lazily when the process pool is first created, so only
-    // an explicit flag needs an up-front resize (the pool does not exist
-    // yet, so no session can be holding it).
+    // Pool sizing precedence: --threads, then AIC_THREADS, then hardware
+    // concurrency. The env leg applies lazily when the process pool is
+    // first created, so only an explicit flag needs an up-front resize
+    // (the pool does not exist yet, so no session can be holding it).
     const std::size_t threads_flag = flag_size(options, "threads", 0);
     if (threads_flag != 0) Context::set_process_threads(threads_flag);
     const Context ctx = Context::process_default();

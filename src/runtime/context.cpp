@@ -75,7 +75,7 @@ Context::Context(const Options& options) : impl_(std::make_shared<Impl>()) {
   impl_->options = options;
   if (options.pool) {
     impl_->pool = options.pool;
-  } else if (options.threads > 0 || options.own_pool) {
+  } else if (options.threads > 0) {
     impl_->pool = std::make_shared<runtime::ThreadPool>(options.threads);
   } else {
     // Share the process-default pool. The durable reference is what makes
@@ -176,8 +176,7 @@ void Context::set_process_threads(std::size_t num_threads) {
 
 std::size_t Context::resolve_thread_count(std::size_t flag_value) {
   if (flag_value > 0) return flag_value;
-  return runtime::env_size_t("AIC_THREADS",
-                             runtime::env_size_t("AIC_NUM_THREADS", 0));
+  return runtime::env_size_t("AIC_THREADS", 0);
 }
 
 std::shared_ptr<void> Context::slot(

@@ -19,9 +19,8 @@ class ThreadPool;
 
 /// The pool `parallel_for` fans out on: the innermost `Context::PoolScope`
 /// bound on the calling thread, else the process-default pool (created on
-/// first use, sized from AIC_THREADS / AIC_NUM_THREADS). The returned
-/// shared_ptr keeps the pool alive across a concurrent
-/// `Context::set_process_threads` swap.
+/// first use, sized from AIC_THREADS). The returned shared_ptr keeps the
+/// pool alive across a concurrent `Context::set_process_threads` swap.
 std::shared_ptr<ThreadPool> current_pool();
 
 }  // namespace aic::runtime
@@ -61,9 +60,7 @@ class Context {
     /// Workers for a pool owned by this context. 0 = do not own a pool:
     /// share the process-default pool (or `pool` below when set).
     std::size_t threads = 0;
-    /// Force a private hardware-sized pool even when `threads == 0`.
-    bool own_pool = false;
-    /// Explicit pool to share; overrides `threads` / `own_pool`.
+    /// Explicit pool to share; overrides `threads`.
     std::shared_ptr<runtime::ThreadPool> pool;
     /// Byte budget for this context's plan cache.
     std::size_t plan_cache_bytes = kPlanCacheBytesFromEnv;
@@ -150,9 +147,9 @@ class Context {
   static void set_process_threads(std::size_t num_threads);
 
   /// One documented precedence order for worker-count configuration:
-  /// CLI flag (pass as `flag_value`, 0 = unset) > AIC_THREADS >
-  /// AIC_NUM_THREADS (legacy alias) > hardware concurrency. Returns 0 to
-  /// mean "hardware" so the result feeds ThreadPool's constructor directly.
+  /// CLI flag (pass as `flag_value`, 0 = unset) > AIC_THREADS > hardware
+  /// concurrency. Returns 0 to mean "hardware" so the result feeds
+  /// ThreadPool's constructor directly.
   static std::size_t resolve_thread_count(std::size_t flag_value = 0);
 
   /// Type-erased per-context lazily initialized state for higher layers

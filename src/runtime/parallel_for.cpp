@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
+#include <latch>
 #include <memory>
 #include <mutex>
 
@@ -38,7 +39,7 @@ class ForkJoin {
            std::size_t begin, std::size_t end, std::size_t chunk,
            std::size_t chunks)
       : body_(body), begin_(begin), end_(end), chunk_(chunk),
-        chunks_(chunks) {}
+        chunks_(chunks), done_(static_cast<std::ptrdiff_t>(chunks)) {}
 
   /// Runs chunks until none is left unclaimed. A failing chunk's
   /// exception is kept if its index is the lowest so far; the other
@@ -58,19 +59,12 @@ class ForkJoin {
         }
       }
       tls_in_chunk = false;
-      if (done_.fetch_add(1, std::memory_order_release) + 1 == chunks_) {
-        done_.notify_all();
-      }
+      done_.count_down();
     }
   }
 
   /// Blocks until every chunk has run.
-  void wait() {
-    for (std::size_t done = done_.load(std::memory_order_acquire);
-         done != chunks_; done = done_.load(std::memory_order_acquire)) {
-      done_.wait(done, std::memory_order_acquire);
-    }
-  }
+  void wait() { done_.wait(); }
 
   /// The lowest failing chunk's exception, if any (call after wait()).
   std::exception_ptr take_error() {
@@ -83,7 +77,7 @@ class ForkJoin {
   const std::function<void(std::size_t, std::size_t)>& body_;
   const std::size_t begin_, end_, chunk_, chunks_;
   std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> done_{0};
+  std::latch done_;
   std::mutex error_mutex_;
   std::size_t error_index_ = SIZE_MAX;
   std::exception_ptr error_;

@@ -1,7 +1,6 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -41,6 +40,11 @@ bool ThreadPool::in_worker_thread() const noexcept {
 }
 
 void ThreadPool::post(std::function<void()> task) {
+  if (in_worker_thread()) {
+    tasks_inlined_.fetch_add(1, std::memory_order_relaxed);
+    task();
+    return;
+  }
   {
     std::lock_guard lock(mutex_);
     if (stopping_) {
@@ -51,11 +55,6 @@ void ThreadPool::post(std::function<void()> task) {
     queue_depth_gauge().set(static_cast<double>(queue_.size()));
   }
   task_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
 void ThreadPool::shutdown() {
@@ -105,18 +104,10 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
       queue_depth_gauge().set(static_cast<double>(queue_.size()));
-      ++in_flight_;
-    }
-    {
-      AIC_TRACE_SCOPE("pool.task");
-      task();
-    }
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
       ++tasks_executed_;
-      if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
     }
+    AIC_TRACE_SCOPE("pool.task");
+    task();
   }
 }
 

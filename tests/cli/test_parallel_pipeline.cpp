@@ -78,7 +78,6 @@ TEST(ParallelPipeline, ArchiveBytesIdenticalAcrossPoolSizes) {
   const auto session = [](std::size_t threads) {
     Context::Options ctx_options;
     ctx_options.threads = threads;
-    ctx_options.own_pool = true;
     return Context(ctx_options);
   };
   const Context single = session(1);
@@ -154,7 +153,6 @@ TEST(ParallelPipeline, GoldenV4SeedsReproducedByEveryWriter) {
   for (const std::size_t pool_size : {std::size_t{1}, std::size_t{4}}) {
     Context::Options ctx_options;
     ctx_options.threads = pool_size;
-    ctx_options.own_pool = true;
     const Context ctx(ctx_options);
     for (const auto& s : seeds) {
       const std::string golden =

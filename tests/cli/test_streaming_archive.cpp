@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
+#include <thread>
 
 #include "cli/archive.hpp"
 #include "cli/robustness_suite.hpp"
@@ -206,52 +210,119 @@ TEST(StreamingArchive, OutParamWriterReusesCapacity) {
 }
 
 /// A seekable sink whose writes fail once `budget` bytes have gone in.
+/// The failing write lingers 200 µs, and `writing()` is true while
+/// any write is inside the buffer, so a caller that returns before its
+/// writes end is caught.
 class FailingBuf : public std::stringbuf {
  public:
   explicit FailingBuf(std::size_t budget) : budget_(budget) {}
 
+  bool writing() const { return writing_.load(); }
+
  protected:
   std::streamsize xsputn(const char* s, std::streamsize n) override {
-    if (static_cast<std::size_t>(n) > budget_) return 0;
+    const Writing scope(writing_);
+    if (static_cast<std::size_t>(n) > budget_) return fail(0);
     budget_ -= static_cast<std::size_t>(n);
     return std::stringbuf::xsputn(s, n);
   }
   int_type overflow(int_type ch) override {
-    if (budget_ == 0) return traits_type::eof();
+    const Writing scope(writing_);
+    if (budget_ == 0) return fail(traits_type::eof());
     --budget_;
     return std::stringbuf::overflow(ch);
   }
 
  private:
+  struct Writing {
+    explicit Writing(std::atomic<int>& count) : count_(count) { ++count_; }
+    ~Writing() { --count_; }
+    std::atomic<int>& count_;
+  };
+  template <typename T>
+  static T fail(T result) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return result;
+  }
+
   std::size_t budget_;
+  std::atomic<int> writing_{0};
 };
+
+/// The message of the std::runtime_error `f` throws ("" when none).
+template <typename F>
+std::string runtime_error_of(F&& f) {
+  try {
+    f();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+Context session(std::size_t threads) {
+  Context::Options options;
+  options.threads = threads;
+  return Context(options);
+}
 
 /// A sink that fails at any byte, including inside the writer's set-up
 /// (16-byte chunks put encodes in flight while the tensor header is
-/// still being fed), must surface as an exception with every in-flight
-/// encode drained: the session's pooled buffers stay intact, so the
-/// next write on it is bitwise-identical to the reference.
+/// still being fed), must surface as the write's own error at every pool
+/// size, with every in-flight encode drained: the session's pooled
+/// buffers stay intact, so the next write on it is bitwise-identical to
+/// the reference.
 TEST(StreamingArchive, FailingSinkDrainsInFlightEncodes) {
   const Tensor input = test_tensor(40);
   const ArchiveWriteOptions options{
       .chunk_bytes = 16, .entropy = baseline::ChunkEntropy::kHuffman};
-  Context::Options ctx_options;
-  ctx_options.threads = 4;
-  ctx_options.own_pool = true;
-  const Context ctx{ctx_options};
-  const std::string reference = compress_to_archive_bytes(
-      input, "dctchop:cf=4,block=8", options, nullptr, ctx);
-  for (std::size_t budget = 0; budget < reference.size(); budget += 7) {
-    FailingBuf buf(budget);
-    std::ostream stream(&buf);
-    EXPECT_THROW(compress_to_stream(input, "dctchop:cf=4,block=8", stream,
-                                    options, nullptr, ctx),
-                 std::runtime_error)
-        << "budget=" << budget;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const Context ctx = session(threads);
+    const std::string reference = compress_to_archive_bytes(
+        input, "dctchop:cf=4,block=8", options, nullptr, ctx);
+    for (std::size_t budget = 0; budget < reference.size(); budget += 7) {
+      FailingBuf buf(budget);
+      std::ostream stream(&buf);
+      EXPECT_EQ(runtime_error_of([&] {
+                  compress_to_stream(input, "dctchop:cf=4,block=8", stream,
+                                     options, nullptr, ctx);
+                }),
+                "archive: stream write failed")
+          << "threads=" << threads << " budget=" << budget;
+      EXPECT_FALSE(buf.writing());
+    }
+    EXPECT_EQ(compress_to_archive_bytes(input, "dctchop:cf=4,block=8",
+                                        options, nullptr, ctx),
+              reference);
   }
-  EXPECT_EQ(compress_to_archive_bytes(input, "dctchop:cf=4,block=8", options,
-                                      nullptr, ctx),
-            reference);
+}
+
+/// A restore whose sink fails in the tensor header or in any plane
+/// group's write (which runs on the pool) throws the write's own error
+/// on the caller, with no write left running.
+TEST(StreamingArchive, RestoreWriteFailureThrowsWithNoWriteRunning) {
+  // 40 planes of 128x128: three plane groups of at most 1 MiB.
+  runtime::Rng rng(42);
+  Tensor input(Shape::bchw(1, 40, 128, 128));
+  for (float& v : input.data()) v = static_cast<float>(rng.uniform());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const Context ctx = session(threads);
+    const std::string archive =
+        compress_to_archive_bytes(input, "dctchop:cf=4,block=8", {}, nullptr,
+                                  ctx);
+    const std::size_t restored_size = restored_bytes(archive, ctx).size();
+    for (const std::size_t budget :
+         {std::size_t{0}, std::size_t{100}, restored_size / 2,
+          restored_size - 1}) {
+      FailingBuf buf(budget);
+      std::ostream stream(&buf);
+      EXPECT_EQ(
+          runtime_error_of([&] { (void)restore_archive(archive, &stream, ctx); }),
+          "archive: stream write failed")
+          << "threads=" << threads << " budget=" << budget;
+      EXPECT_FALSE(buf.writing());
+    }
+  }
 }
 
 }  // namespace

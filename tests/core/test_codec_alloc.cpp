@@ -43,7 +43,6 @@ class CodecAllocations : public ::testing::TestWithParam<AllocCase> {
   Context make_context() const {
     Context::Options options;
     options.threads = GetParam().threads;
-    options.own_pool = true;
     return Context(options);
   }
   CodecPtr make(const Context& ctx) const {

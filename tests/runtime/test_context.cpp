@@ -158,7 +158,6 @@ TEST(Context, ConcurrentSessionsProduceBitwiseIdenticalArchives) {
   // Reference computed with zero concurrent load, on a 1-thread pool.
   Context::Options single_options;
   single_options.threads = 1;
-  single_options.own_pool = true;
   const std::string reference = cli::compress_to_archive_bytes(
       input, "dctchop:cf=4,block=8", write, nullptr,
       Context(single_options));

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -83,7 +84,7 @@ TEST(ParallelForNested, InnerLoopInsideOuterLoopCompletes) {
   // Regression for the sandwich hot-path bug: an outer parallel_for whose
   // body issues another parallel_for re-enters the global pool. Before the
   // inline-degrade guard, every worker could end up blocked on futures
-  // only the same pool could serve (deadlock at AIC_NUM_THREADS=1 without
+  // only the same pool could serve (deadlock at AIC_THREADS=1 without
   // the size-1 short-circuit, oversubscription above it). The CMake-level
   // test_runtime_nested_pool{1,4} entries rerun this with pinned pool
   // sizes and a timeout.
@@ -192,15 +193,15 @@ TEST(ParallelForNested, ReentrantCallFromWorkerInlinesAndIsCounted) {
   PinnedPool pin(4);
   reset_parallel_for_stats();
   std::atomic<int> count{0};
-  Context::process_default()
-      .pool()
-      .submit([&] {
-        parallel_for(
-            0, 4096,
-            [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); },
-            {.grain = 1});
-      })
-      .get();
+  std::latch done(1);
+  Context::process_default().pool().post([&] {
+    parallel_for(
+        0, 4096,
+        [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); },
+        {.grain = 1});
+    done.count_down();
+  });
+  done.wait();
   EXPECT_EQ(count.load(), 4096);
   const ParallelForStats stats = parallel_for_stats();
   EXPECT_GE(stats.inline_runs, 1u);
@@ -215,7 +216,6 @@ struct PrivatePool {
   static Context::Options options(std::size_t threads) {
     Context::Options out;
     out.threads = threads;
-    out.own_pool = true;
     return out;
   }
   Context ctx;
@@ -290,7 +290,6 @@ TEST(ParallelFor, HelpersStartedLateFindNoWork) {
                               << " index " << i;
       }
     }
-    pool.ctx.pool().wait_idle();
   }
 }
 

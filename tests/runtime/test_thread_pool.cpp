@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <functional>
+#include <latch>
 #include <stdexcept>
-#include <vector>
+#include <thread>
 
 #include "runtime/context.hpp"
 
@@ -15,23 +16,15 @@ namespace {
 TEST(ThreadPool, RunsPostedTasks) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
+  std::latch done(100);
   for (int i = 0; i < 100; ++i) {
-    pool.post([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
+    pool.post([&] {
+      counter.fetch_add(1, std::memory_order_relaxed);
+      done.count_down();
+    });
   }
-  pool.wait_idle();
+  done.wait();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ThreadPool pool(1);
-  auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, SizeMatchesRequest) {
@@ -62,22 +55,25 @@ TEST(ThreadPool, ShutdownDrainsQueue) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
 TEST(ThreadPool, ManyConcurrentSubmitters) {
+  // Four threads post at once; every task runs exactly once.
   ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  futures.reserve(200);
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([i] { return i; }));
+  std::atomic<long long> total{0};
+  std::latch done(200);
+  std::thread posters[4];
+  for (int t = 0; t < 4; ++t) {
+    posters[t] = std::thread([&, t] {
+      for (int i = t; i < 200; i += 4) {
+        pool.post([&, i] {
+          total.fetch_add(i, std::memory_order_relaxed);
+          done.count_down();
+        });
+      }
+    });
   }
-  long long total = 0;
-  for (auto& f : futures) total += f.get();
-  EXPECT_EQ(total, 199 * 200 / 2);
+  for (std::thread& poster : posters) poster.join();
+  done.wait();
+  EXPECT_EQ(total.load(), 199 * 200 / 2);
 }
 
 TEST(ThreadPool, ProcessPoolIsStableAcrossDefaultContexts) {
@@ -91,44 +87,108 @@ TEST(ThreadPool, ProcessPoolIsStableAcrossDefaultContexts) {
 TEST(ThreadPool, InWorkerThreadDetection) {
   ThreadPool pool(2);
   EXPECT_FALSE(pool.in_worker_thread());
-  auto inside = pool.submit([&pool] { return pool.in_worker_thread(); });
-  EXPECT_TRUE(inside.get());
+  bool inside = false;
+  std::latch done(1);
+  pool.post([&] {
+    inside = pool.in_worker_thread();
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_TRUE(inside);
 }
 
 TEST(ThreadPool, WorkerOfOtherPoolIsNotDetected) {
   ThreadPool a(1);
   ThreadPool b(1);
-  auto from_b = b.submit([&a] { return a.in_worker_thread(); });
-  EXPECT_FALSE(from_b.get());
+  bool from_b = true;
+  std::latch done(1);
+  b.post([&] {
+    from_b = a.in_worker_thread();
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_FALSE(from_b);
 }
 
 TEST(ThreadPool, ReentrantSubmitRunsInlineOnSizeOnePool) {
-  // Before the re-entry guard this deadlocked: the sole worker blocked on
-  // a future whose task sat behind it in the queue.
+  // The only worker posts a task and waits on its latch. Queued, the task
+  // would sit behind the very worker that waits for it: a deadlock.
   ThreadPool pool(1);
-  auto outer = pool.submit([&pool] {
-    auto inner = pool.submit([] { return 21; });
-    return 2 * inner.get();
+  int result = 0;
+  std::latch done(1);
+  pool.post([&] {
+    int inner = 0;
+    std::latch inner_done(1);
+    pool.post([&] {
+      inner = 21;
+      inner_done.count_down();
+    });
+    inner_done.wait();
+    result = 2 * inner;
+    done.count_down();
   });
-  EXPECT_EQ(outer.get(), 42);
+  done.wait();
+  EXPECT_EQ(result, 42);
+}
+
+TEST(ThreadPool, PostFromOnlyWorkerRunsInline) {
+  // The re-entry guard runs a post from the pool's own worker on that
+  // worker, before post returns, and counts it as inlined.
+  ThreadPool pool(1);
+  std::thread::id outer_id;
+  std::thread::id inner_id;
+  bool ran_before_return = false;
+  std::latch done(1);
+  pool.post([&] {
+    outer_id = std::this_thread::get_id();
+    bool ran = false;
+    pool.post([&] {
+      inner_id = std::this_thread::get_id();
+      ran = true;
+    });
+    ran_before_return = ran;
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_TRUE(ran_before_return);
+  EXPECT_EQ(inner_id, outer_id);
+  const ThreadPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.tasks_executed, 1u);
+  EXPECT_EQ(stats.tasks_inlined, 1u);
 }
 
 TEST(ThreadPool, ReentrantSubmitNestsDeeply) {
   ThreadPool pool(1);
   std::function<int(int)> countdown = [&](int depth) -> int {
     if (depth == 0) return 0;
-    return 1 + pool.submit([&, depth] { return countdown(depth - 1); }).get();
+    int inner = -1;
+    pool.post([&, depth] { inner = countdown(depth - 1); });
+    return 1 + inner;
   };
-  auto result = pool.submit([&] { return countdown(16); });
-  EXPECT_EQ(result.get(), 16);
+  int result = 0;
+  std::latch done(1);
+  pool.post([&] {
+    result = countdown(16);
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_EQ(result, 16);
+  EXPECT_EQ(pool.stats().tasks_inlined, 16u);
 }
 
 TEST(ThreadPool, StatsCountExecutedAndInlinedTasks) {
   ThreadPool pool(2);
-  for (int i = 0; i < 10; ++i) pool.submit([] {}).wait();
-  auto nested = pool.submit([&pool] { pool.submit([] {}).wait(); });
+  for (int i = 0; i < 10; ++i) {
+    std::latch done(1);
+    pool.post([&] { done.count_down(); });
+    done.wait();
+  }
+  std::latch nested(1);
+  pool.post([&] {
+    pool.post([] {});
+    nested.count_down();
+  });
   nested.wait();
-  pool.wait_idle();
   const ThreadPoolStats stats = pool.stats();
   EXPECT_EQ(stats.tasks_executed, 11u);
   EXPECT_EQ(stats.tasks_inlined, 1u);
@@ -137,8 +197,14 @@ TEST(ThreadPool, StatsCountExecutedAndInlinedTasks) {
 
 TEST(ThreadPool, ResetStatsZeroesCounters) {
   ThreadPool pool(1);
-  pool.submit([] {}).wait();
-  pool.wait_idle();
+  std::latch done(1);
+  pool.post([&] {
+    pool.post([] {});
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_EQ(pool.stats().tasks_executed, 1u);
+  EXPECT_EQ(pool.stats().tasks_inlined, 1u);
   pool.reset_stats();
   const ThreadPoolStats stats = pool.stats();
   EXPECT_EQ(stats.tasks_executed, 0u);
