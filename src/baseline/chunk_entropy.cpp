@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstring>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -106,7 +105,7 @@ HuffmanCost huffman_cost(const ByteHistogram& freq,
   return cost;
 }
 
-/// Encodes `plain` with the canonical code for `lengths`: the table,
+/// Encodes `plain` with the canonical code for `length`: the table,
 /// then the codes through a 64-bit bit buffer straight into the output,
 /// sized once from `cost` plus 7 bytes of store slack. Each store writes
 /// the buffer's top 8 bytes and advances by the whole bytes they hold,
@@ -114,12 +113,10 @@ HuffmanCost huffman_cost(const ByteHistogram& freq,
 /// string too short grows it and counts the growth in
 /// pipeline.encode_reallocs (exact sizing keeps that at zero).
 std::string encode_huffman(std::string_view plain,
-                           std::vector<std::uint8_t> lengths,
+                           const std::vector<std::uint8_t>& length,
                            const HuffmanCost& cost) {
-  const HuffmanCoder coder =
-      HuffmanCoder::from_code_lengths(std::move(lengths));
-  const std::span<const std::uint8_t> length = coder.code_lengths();
-  const std::span<const std::uint32_t> code = coder.codes();
+  const std::vector<std::uint32_t> code =
+      HuffmanCoder::canonical_codes(length);
 
   constexpr std::size_t kSlack = 7;
   std::string out(cost.encoded_size() + kSlack, '\0');
@@ -279,10 +276,11 @@ std::string encode_chunk(std::string_view plain, ChunkEntropy mode) {
     return encode_packed(plain, packed_width_for(plain));
   }
   const ByteHistogram freq = byte_histogram(plain);
-  std::vector<std::uint8_t> lengths = HuffmanCoder::code_lengths_for(freq);
+  const std::vector<std::uint8_t> lengths =
+      HuffmanCoder::code_lengths_for(freq);
   const HuffmanCost huffman = huffman_cost(freq, lengths);
   if (mode == ChunkEntropy::kHuffman) {
-    return encode_huffman(plain, std::move(lengths), huffman);
+    return encode_huffman(plain, lengths, huffman);
   }
   // Auto: cost all three from the histogram, keep the smallest. Ties
   // break toward the cheaper decoder (raw < packed < huffman) —
@@ -297,7 +295,7 @@ std::string encode_chunk(std::string_view plain, ChunkEntropy mode) {
   const std::size_t best = std::min({raw_size, packed_size, huffman_size});
   if (best == raw_size) return encode_raw(plain);
   if (best == packed_size) return encode_packed(plain, width);
-  return encode_huffman(plain, std::move(lengths), huffman);
+  return encode_huffman(plain, lengths, huffman);
 }
 
 void decode_chunk(std::string_view encoded, std::size_t plain_len,

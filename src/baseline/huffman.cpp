@@ -178,6 +178,23 @@ class BitWindow {
   std::size_t count_ = 0;
 };
 
+/// The first canonical code of each length, from the number of codes of
+/// each length: a length's codes continue the previous length's range,
+/// shifted left once per length step. The Kraft check guarantees every
+/// code fits its length.
+std::array<std::uint64_t, HuffmanCoder::kMaxCodeLength + 1> first_codes(
+    const std::array<std::uint32_t, HuffmanCoder::kMaxCodeLength + 1>&
+        count) {
+  std::array<std::uint64_t, HuffmanCoder::kMaxCodeLength + 1> first{};
+  std::uint64_t code = 0;
+  for (std::size_t length = 1; length <= HuffmanCoder::kMaxCodeLength;
+       ++length) {
+    first[length] = code;
+    code = (code + count[length]) << 1;
+  }
+  return first;
+}
+
 }  // namespace
 
 HuffmanCoder::HuffmanCoder(const std::vector<std::uint16_t>& symbols)
@@ -268,22 +285,25 @@ void HuffmanCoder::build_tables() {
     }
   }
 
-  // The codes of each length continue the previous length's range,
-  // shifted left once per length step; the Kraft check guarantees every
-  // code fits its length.
-  std::uint64_t code = 0;
-  for (std::size_t length = 1; length <= kMaxCodeLength; ++length) {
-    first_code_[length] = code;
-    code = (code + length_count_[length]) << 1;
+  first_code_ = first_codes(length_count_);
+  code_ = canonical_codes(length_);
+  build_decode_lut();
+}
+
+std::vector<std::uint32_t> HuffmanCoder::canonical_codes(
+    std::span<const std::uint8_t> lengths) {
+  std::array<std::uint32_t, kMaxCodeLength + 1> count{};
+  for (std::uint8_t length : lengths) {
+    if (length != 0) ++count[length];
   }
-  code_.assign(length_.size(), 0);
-  for (std::size_t length = 1; length <= kMaxCodeLength; ++length) {
-    for (std::uint32_t k = 0; k < length_count_[length]; ++k) {
-      code_[sorted_symbols_[first_index_[length] + k]] =
-          static_cast<std::uint32_t>(first_code_[length] + k);
+  std::array<std::uint64_t, kMaxCodeLength + 1> next = first_codes(count);
+  std::vector<std::uint32_t> codes(lengths.size(), 0);
+  for (std::size_t symbol = 0; symbol < lengths.size(); ++symbol) {
+    if (lengths[symbol] != 0) {
+      codes[symbol] = static_cast<std::uint32_t>(next[lengths[symbol]]++);
     }
   }
-  build_decode_lut();
+  return codes;
 }
 
 void HuffmanCoder::build_decode_lut() {

@@ -56,6 +56,13 @@ class HuffmanCoder {
   static std::vector<std::uint8_t> code_lengths_for(
       std::span<const std::uint64_t> counts);
 
+  /// The canonical code of each symbol of the length table `lengths`
+  /// (`lengths[s]`, 0 = absent), in (length, symbol) order, without
+  /// building a decoder. The table is trusted, e.g. fresh from
+  /// code_lengths_for(); an untrusted one goes through from_code_lengths().
+  static std::vector<std::uint32_t> canonical_codes(
+      std::span<const std::uint8_t> lengths);
+
   /// Encodes symbols into `writer`. Throws on symbols absent from the code.
   void encode(const std::vector<std::uint16_t>& symbols,
               BitWriter& writer) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <fstream>
 #include <functional>
@@ -354,13 +353,172 @@ struct TaskSlot {
   }
 };
 
+/// The chunks the v4 writer has queued and not yet written, in a ring of
+/// slots made once per write. The producer fills and retires the slots
+/// in chunk order; it and the helpers it posts claim queued chunks from
+/// one encode cursor, so each chunk is encoded once, by whichever thread
+/// gets to it first. The producer and every posted helper co-own the
+/// ring, and the last to let go deletes it: a helper that a busy pool
+/// starts after the write has ended finds nothing to claim and touches
+/// nothing else. The posted task captures one pointer, so `std::function`
+/// stores it inline and a chunk costs no allocation of its own.
+class EncodeRing {
+ public:
+  /// A ring owned by the calling producer alone.
+  static EncodeRing* make(std::size_t slots, baseline::ChunkEntropy entropy) {
+    return new EncodeRing(slots, entropy);
+  }
+
+  /// Drops one owner's share; the last owner deletes the ring.
+  void release() {
+    if (owners_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+  }
+
+  // Producer side.
+  std::size_t queued() const {
+    return queued_.load(std::memory_order_relaxed);
+  }
+  std::size_t retired() const { return retired_; }
+  bool full() const { return queued() - retired_ == slots_; }
+
+  /// Queues the next chunk, making it claimable, and posts a helper that
+  /// encodes queued chunks. A pool that takes no more tasks (shut down)
+  /// leaves the chunk to the producer.
+  void push(runtime::BufferPool::Buffer plain, runtime::ThreadPool& pool) {
+    const std::size_t index = queued();
+    slot(index).plain = std::move(plain);
+    queued_.store(index + 1, std::memory_order_release);
+    owners_.fetch_add(1, std::memory_order_relaxed);
+    try {
+      pool.post([this] {
+        run();
+        release();
+      });
+    } catch (...) {
+      release();
+    }
+  }
+
+  /// The oldest queued chunk, encoded. Until it is, the producer encodes
+  /// chunks no helper has started rather than wait. Rethrows its encode's
+  /// exception here.
+  const EncodedChunk& front() {
+    Slot& oldest = slot(retired_);
+    while (!oldest.done.load(std::memory_order_acquire)) {
+      const std::size_t index = claim();
+      if (index == kNone) {
+        oldest.done.wait(false, std::memory_order_acquire);
+      } else {
+        encode(index);
+      }
+    }
+    if (oldest.error) {
+      std::rethrow_exception(std::exchange(oldest.error, nullptr));
+    }
+    return oldest.encoded;
+  }
+  bool front_done() const {
+    return retired_ < queued() &&
+           slot(retired_).done.load(std::memory_order_acquire);
+  }
+
+  /// Retires the oldest chunk (written), freeing its slot.
+  void pop() {
+    Slot& oldest = slot(retired_++);
+    oldest.plain.reset();
+    oldest.encoded = {};
+    oldest.done.store(false, std::memory_order_relaxed);
+  }
+
+  /// Ends the producer's use of the ring: claims every chunk no thread
+  /// has started, so no helper starts another encode, waits for the
+  /// encodes already started, and releases every slot's buffers and
+  /// error on this thread.
+  void stop() noexcept {
+    const std::size_t claimed =
+        claimed_.exchange(kNone, std::memory_order_relaxed);
+    for (std::size_t i = retired_; i < claimed; ++i) {
+      slot(i).done.wait(false, std::memory_order_acquire);
+    }
+    for (std::size_t i = 0; i < slots_; ++i) {
+      ring_[i].plain.reset();
+      ring_[i].encoded = {};
+      ring_[i].error = nullptr;
+    }
+  }
+
+  std::uint64_t encode_ns() const {
+    return encode_ns_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  static constexpr std::size_t kNone = SIZE_MAX;
+
+  struct Slot {
+    runtime::BufferPool::Buffer plain;
+    EncodedChunk encoded;
+    std::exception_ptr error;
+    // Set once the chunk is encoded (or its encode failed); cleared when
+    // the producer retires it.
+    std::atomic<bool> done{false};
+  };
+
+  EncodeRing(std::size_t slots, baseline::ChunkEntropy entropy)
+      : slots_(slots),
+        ring_(std::make_unique<Slot[]>(slots)),
+        entropy_(entropy) {}
+
+  /// Encodes queued chunks until none is left unclaimed (a helper's task).
+  void run() {
+    for (std::size_t index = claim(); index != kNone; index = claim()) {
+      encode(index);
+    }
+  }
+
+  Slot& slot(std::size_t index) const { return ring_[index % slots_]; }
+
+  /// Claims the oldest queued chunk no thread has started; kNone when
+  /// there is none (or the ring is stopped).
+  std::size_t claim() {
+    std::size_t next = claimed_.load(std::memory_order_relaxed);
+    do {
+      if (next >= queued_.load(std::memory_order_acquire)) return kNone;
+    } while (!claimed_.compare_exchange_weak(next, next + 1,
+                                             std::memory_order_relaxed));
+    return next;
+  }
+
+  void encode(std::size_t index) {
+    Slot& chunk = slot(index);
+    try {
+      runtime::Timer timer;
+      chunk.encoded = encode_one_chunk(chunk.plain.view(), entropy_);
+      encode_ns_.fetch_add(timer.nanos(), std::memory_order_relaxed);
+    } catch (...) {
+      chunk.error = std::current_exception();
+    }
+    chunk.done.store(true, std::memory_order_release);
+    chunk.done.notify_one();
+  }
+
+  const std::size_t slots_;
+  const std::unique_ptr<Slot[]> ring_;
+  const baseline::ChunkEntropy entropy_;
+  std::atomic<std::size_t> queued_{0};
+  std::atomic<std::size_t> claimed_{0};  // the encode cursor
+  std::size_t retired_ = 0;              // producer only
+  std::atomic<std::uint64_t> encode_ns_{0};
+  std::atomic<std::size_t> owners_{1};
+};
+
 /// The one v4 writer. Payload bytes arrive in order through feed() and
-/// fill pooled chunk buffers; each full chunk is entropy coded and CRC'd
-/// on the session pool while the producer keeps going, with at most two
-/// chunks per pool worker in flight (one encoding, one queued behind it).
-/// Encoded chunks reach the sink in index order, behind a prologue whose
-/// header CRC and chunk table are zero until finish() patches them.
-/// Chunk boundaries depend only on (payload_len, chunk_bytes) and each
+/// fill pooled chunk buffers; each full chunk is queued for an entropy
+/// code and CRC on the session pool while the producer keeps going, with
+/// at most two chunks per pool worker queued. When the producer would
+/// wait for the oldest chunk, it encodes a queued one itself. Encoded
+/// chunks reach the sink in index order, behind a prologue whose header
+/// CRC and chunk table are zero until finish() patches them. Chunk
+/// boundaries depend only on (payload_len, chunk_bytes) and each
 /// encoding only on its chunk's bytes, so the archive is bitwise
 /// identical for every pool size and schedule.
 class ChunkPipeline {
@@ -371,10 +529,9 @@ class ChunkPipeline {
       : sink_(sink),
         buffers_(ctx.buffer_pool()),
         pool_(ctx.pool_handle()),
-        max_in_flight_(2 * pool_->size()),
-        entropy_(options.entropy),
         chunk_bytes_(options.chunk_bytes),
-        payload_len_(io::serialized_tensor_bytes(packed_shape)) {
+        payload_len_(io::serialized_tensor_bytes(packed_shape)),
+        ring_{EncodeRing::make(2 * pool_->size(), options.entropy)} {
     if (chunk_bytes_ == 0 || chunk_bytes_ > kMaxChunkBytes) {
       throw std::invalid_argument(
           "archive: chunk_bytes must be in [1, " +
@@ -409,11 +566,11 @@ class ChunkPipeline {
     const char* bytes = static_cast<const char*>(data);
     while (len > 0) {
       if (fill_ == 0) {
-        if (submitted_ == chunk_count_) {
+        if (ring().queued() == chunk_count_) {
           throw std::logic_error("archive: producer overran the payload");
         }
         chunk_len_ = std::min(chunk_bytes_,
-                              payload_len_ - submitted_ * chunk_bytes_);
+                              payload_len_ - ring().queued() * chunk_bytes_);
         current_ = buffers_.acquire(chunk_len_);
       }
       const std::size_t take = std::min(len, chunk_len_ - fill_);
@@ -428,10 +585,10 @@ class ChunkPipeline {
   /// Drains every chunk, patches the header, and returns the archive
   /// size.
   std::size_t finish() {
-    if (submitted_ != chunk_count_) {
+    if (ring().queued() != chunk_count_) {
       throw std::logic_error("archive: producer ended before the payload");
     }
-    while (!in_flight_.empty()) retire();
+    while (ring().retired() < chunk_count_) retire();
     std::string patch;
     append<std::uint32_t>(patch, io::crc32c(header_.data(), header_.size()));
     patch += header_;
@@ -441,74 +598,46 @@ class ChunkPipeline {
     return written_;
   }
 
-  std::uint64_t encode_ns() const {
-    return encode_ns_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t encode_ns() const { return ring_.ring->encode_ns(); }
 
  private:
-  struct InFlight {
-    runtime::BufferPool::Buffer plain;
-    EncodedChunk encoded;
-    TaskSlot task;
-  };
-
-  /// Chunks posted and not yet written. Destruction waits for every
-  /// encode, so a throw from the producer, from finish(), or from the
-  /// constructor's own feed() never hands a buffer back to the pool
-  /// while a worker still reads it.
-  struct InFlightQueue : std::deque<InFlight> {
-    ~InFlightQueue() {
-      for (InFlight& chunk : *this) chunk.task.done.wait();
+  /// The producer's share of the ring. Destruction stops the ring before
+  /// letting go, so a throw from the producer, from finish(), or from the
+  /// constructor's own feed() never hands a buffer back to the pool while
+  /// a helper still encodes it.
+  struct RingOwner {
+    EncodeRing* ring;
+    ~RingOwner() {
+      ring->stop();
+      ring->release();
     }
   };
+
+  EncodeRing& ring() { return *ring_.ring; }
 
   void submit() {
-    while (in_flight_.size() >= max_in_flight_) retire();
-    // Queued before its task exists, so no throw can leave a running
-    // encode whose buffer the queue does not wait for. A deque keeps the
-    // slot in place while later chunks are queued and earlier retired.
-    InFlight& slot = in_flight_.emplace_back();
-    slot.plain = std::move(current_);
-    try {
-      pool_->post([this, &slot] {
-        slot.task.run([&] {
-          runtime::Timer timer;
-          slot.encoded = encode_one_chunk(slot.plain.view(), entropy_);
-          encode_ns_.fetch_add(timer.nanos(), std::memory_order_relaxed);
-        });
-      });
-    } catch (...) {
-      in_flight_.pop_back();  // never queued, so nothing reads it
-      throw;
-    }
+    while (ring().full()) retire();
+    ring().push(std::move(current_), *pool_);
     fill_ = 0;
-    ++submitted_;
     // Stream out whatever has already finished, in order.
-    while (!in_flight_.empty() && in_flight_.front().task.done.try_wait()) {
-      retire();
-    }
+    while (ring().front_done()) retire();
   }
 
-  /// Waits for the oldest chunk, records its table row, and writes it.
+  /// Records the oldest chunk's table row and writes it.
   void retire() {
-    InFlight& oldest = in_flight_.front();
-    oldest.task.join();
-    const EncodedChunk& chunk = oldest.encoded;
+    const EncodedChunk& chunk = ring().front();
     const std::uint64_t len = chunk.bytes.size();
-    char* row = header_.data() + table_offset_ + 12 * retired_;
+    char* row = header_.data() + table_offset_ + 12 * ring().retired();
     std::memcpy(row, &len, sizeof(len));
     std::memcpy(row + sizeof(len), &chunk.crc, sizeof(chunk.crc));
     sink_.write(chunk.bytes.data(), chunk.bytes.size());
     written_ += chunk.bytes.size();
-    ++retired_;
-    in_flight_.pop_front();
+    ring().pop();
   }
 
   const ArchiveSink& sink_;
   runtime::BufferPool& buffers_;
   const std::shared_ptr<runtime::ThreadPool> pool_;
-  const std::size_t max_in_flight_;
-  const baseline::ChunkEntropy entropy_;
   const std::size_t chunk_bytes_;
   const std::size_t payload_len_;
   std::size_t chunk_count_ = 0;
@@ -517,13 +646,8 @@ class ChunkPipeline {
   runtime::BufferPool::Buffer current_;
   std::size_t chunk_len_ = 0;
   std::size_t fill_ = 0;
-  std::size_t submitted_ = 0;
-  std::size_t retired_ = 0;
   std::size_t written_ = 0;
-  std::atomic<std::uint64_t> encode_ns_{0};
-  // Last member: destroyed (and drained) first, while everything the
-  // encode tasks touch is still alive.
-  InFlightQueue in_flight_;
+  RingOwner ring_;
 };
 
 /// Fills every Archive field except `packed` from the codec the factory

@@ -130,21 +130,14 @@ void parallel_for_chunks(
     return;
   }
 
-  // Task-count policy. `grain_tasks` is the most tasks the grain allows.
-  // Small ranges (fewer grain-units than workers) get exactly that many
-  // equal chunks — spawning pool-size tasks for 2 chunks of work only
-  // adds queue traffic. Mid-size ranges get one task per worker. Only
-  // ranges with ample work (>= 4 grain-units per worker) use the 4x
-  // oversubscription that load-balances unevenly priced iterations.
+  // Chunk-count policy: one chunk per grain unit, capped at 4 per pool
+  // worker. A chunk costs one cursor claim, not a task, so grain-sized
+  // chunks give the caller and every helper a share of a range of few
+  // grain units (a 4-chunk archive decode on 2 workers keeps all three
+  // threads busy); the cap bounds the claims on ample ranges while still
+  // balancing unevenly priced chunks.
   const std::size_t grain_tasks = (total + grain - 1) / grain;
-  std::size_t tasks;
-  if (grain_tasks <= pool.size()) {
-    tasks = grain_tasks;
-  } else if (grain_tasks < pool.size() * 4) {
-    tasks = pool.size();
-  } else {
-    tasks = pool.size() * 4;
-  }
+  const std::size_t tasks = std::min(grain_tasks, 4 * pool.size());
   const std::size_t chunk = std::max(grain, (total + tasks - 1) / tasks);
 
   const std::size_t chunks = (total + chunk - 1) / chunk;

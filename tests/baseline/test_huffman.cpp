@@ -81,6 +81,44 @@ TEST(Huffman, RebuildFromLengthsMatchesOriginal) {
   EXPECT_EQ(rebuilt.decode(reader, symbols.size()), symbols);
 }
 
+TEST(Huffman, CanonicalCodesMatchTheDecoderCodes) {
+  // (length, symbol) order: symbol 1 (length 1) gets 0, symbol 0
+  // (length 2) 0b10, symbols 2 and 3 (length 3) 0b110 and 0b111.
+  EXPECT_EQ(
+      HuffmanCoder::canonical_codes(std::vector<std::uint8_t>{2, 1, 3, 3}),
+      (std::vector<std::uint32_t>{2, 0, 6, 7}));
+  // The encode-side codes equal those of a full decoder over the same
+  // lengths, for byte histograms of every skew and absent symbols, and for
+  // codes of kMaxCodeLength bits.
+  runtime::Rng rng(4);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::uint64_t> counts(1 + rng.uniform_index(256), 0);
+    for (std::size_t s = 0; s < counts.size(); ++s) {
+      if (rng.uniform_index(4) != 0) {
+        counts[s] = 1 + rng.uniform_index(1 + trial * trial * 50);
+      }
+    }
+    counts.back() = 1;
+    const std::vector<std::uint8_t> lengths =
+        HuffmanCoder::code_lengths_for(counts);
+    const HuffmanCoder coder = HuffmanCoder::from_code_lengths(lengths);
+    const std::vector<std::uint32_t> expected(coder.codes().begin(),
+                                              coder.codes().end());
+    EXPECT_EQ(HuffmanCoder::canonical_codes(lengths), expected) << trial;
+  }
+  // The fully skewed complete code: lengths 1, 2, ..., 32, 32.
+  std::vector<std::uint8_t> deep;
+  for (std::uint8_t length = 1; length <= HuffmanCoder::kMaxCodeLength;
+       ++length) {
+    deep.push_back(length);
+  }
+  deep.push_back(HuffmanCoder::kMaxCodeLength);
+  const HuffmanCoder coder = HuffmanCoder::from_code_lengths(deep);
+  EXPECT_EQ(HuffmanCoder::canonical_codes(deep),
+            std::vector<std::uint32_t>(coder.codes().begin(),
+                                       coder.codes().end()));
+}
+
 TEST(Huffman, KraftInequalityHolds) {
   runtime::Rng rng(3);
   std::vector<std::uint16_t> symbols;

@@ -4,11 +4,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cli/archive.hpp"
 #include "cli/robustness_suite.hpp"
@@ -16,6 +19,7 @@
 #include "io/error.hpp"
 #include "io/tensor_io.hpp"
 #include "runtime/rng.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace aic::cli {
 namespace {
@@ -212,32 +216,51 @@ TEST(StreamingArchive, OutParamWriterReusesCapacity) {
 /// A seekable sink whose writes fail once `budget` bytes have gone in.
 /// The failing write lingers 200 µs, and `writing()` is true while
 /// any write is inside the buffer, so a caller that returns before its
-/// writes end is caught.
+/// writes end is caught. `calls()` lists the budget span each write
+/// call took, in call order.
 class FailingBuf : public std::stringbuf {
  public:
-  explicit FailingBuf(std::size_t budget) : budget_(budget) {}
+  struct Call {
+    std::size_t start = 0;  // budget spent before the call
+    std::size_t len = 0;    // budget the call spent
+  };
+
+  explicit FailingBuf(std::size_t budget)
+      : initial_(budget), budget_(budget) {}
 
   bool writing() const { return writing_.load(); }
+  const std::vector<Call>& calls() const { return calls_; }
 
  protected:
   std::streamsize xsputn(const char* s, std::streamsize n) override {
-    const Writing scope(writing_);
+    const Writing scope(*this);
     if (static_cast<std::size_t>(n) > budget_) return fail(0);
     budget_ -= static_cast<std::size_t>(n);
     return std::stringbuf::xsputn(s, n);
   }
   int_type overflow(int_type ch) override {
-    const Writing scope(writing_);
+    const Writing scope(*this);
     if (budget_ == 0) return fail(traits_type::eof());
     --budget_;
     return std::stringbuf::overflow(ch);
   }
 
  private:
+  /// Marks a write in progress; the outermost one (a base-class write
+  /// may call overflow()) records its call.
   struct Writing {
-    explicit Writing(std::atomic<int>& count) : count_(count) { ++count_; }
-    ~Writing() { --count_; }
-    std::atomic<int>& count_;
+    explicit Writing(FailingBuf& buf)
+        : buf_(buf), outer_(buf.writing_++ == 0), before_(buf.budget_) {}
+    ~Writing() {
+      if (outer_) {
+        buf_.calls_.push_back(
+            {buf_.initial_ - before_, before_ - buf_.budget_});
+      }
+      --buf_.writing_;
+    }
+    FailingBuf& buf_;
+    const bool outer_;
+    const std::size_t before_;
   };
   template <typename T>
   static T fail(T result) {
@@ -245,8 +268,10 @@ class FailingBuf : public std::stringbuf {
     return result;
   }
 
+  const std::size_t initial_;
   std::size_t budget_;
   std::atomic<int> writing_{0};
+  std::vector<Call> calls_;
 };
 
 /// The message of the std::runtime_error `f` throws ("" when none).
@@ -266,12 +291,13 @@ Context session(std::size_t threads) {
   return Context(options);
 }
 
-/// A sink that fails at any byte, including inside the writer's set-up
-/// (16-byte chunks put encodes in flight while the tensor header is
-/// still being fed), must surface as the write's own error at every pool
-/// size, with every in-flight encode drained: the session's pooled
+/// A sink that fails in any write call, including inside the writer's
+/// set-up (16-byte chunks put encodes in flight while the tensor header
+/// is still being fed), must surface as the write's own error at every
+/// pool size, with every in-flight encode drained: the session's pooled
 /// buffers stay intact, so the next write on it is bitwise-identical to
-/// the reference.
+/// the reference. Each call of the reference write fails at its first,
+/// middle and last byte.
 TEST(StreamingArchive, FailingSinkDrainsInFlightEncodes) {
   const Tensor input = test_tensor(40);
   const ArchiveWriteOptions options{
@@ -280,7 +306,18 @@ TEST(StreamingArchive, FailingSinkDrainsInFlightEncodes) {
     const Context ctx = session(threads);
     const std::string reference = compress_to_archive_bytes(
         input, "dctchop:cf=4,block=8", options, nullptr, ctx);
-    for (std::size_t budget = 0; budget < reference.size(); budget += 7) {
+    FailingBuf recorder(SIZE_MAX);
+    std::ostream recorded(&recorder);
+    compress_to_stream(input, "dctchop:cf=4,block=8", recorded, options,
+                       nullptr, ctx);
+    ASSERT_EQ(recorder.str(), reference);
+    std::set<std::size_t> budgets;
+    for (const FailingBuf::Call& call : recorder.calls()) {
+      ASSERT_GT(call.len, 0u);
+      budgets.insert({call.start, call.start + call.len / 2,
+                      call.start + call.len - 1});
+    }
+    for (const std::size_t budget : budgets) {
       FailingBuf buf(budget);
       std::ostream stream(&buf);
       EXPECT_EQ(runtime_error_of([&] {
@@ -295,6 +332,33 @@ TEST(StreamingArchive, FailingSinkDrainsInFlightEncodes) {
                                         options, nullptr, ctx),
               reference);
   }
+}
+
+/// Both workers of a private 2-thread pool are parked, so the producer
+/// must encode every chunk itself: a Huffman write of 13 chunks, more
+/// than the writer queues, ends before the workers are released, with
+/// the 1-thread bytes.
+TEST(StreamingArchive, ProducerEncodesWhileWorkersAreBusy) {
+  const Tensor input = test_tensor(41);
+  const ArchiveWriteOptions options{
+      .chunk_bytes = 128, .entropy = baseline::ChunkEntropy::kHuffman};
+  const std::string reference = compress_to_archive_bytes(
+      input, "dctchop:cf=4,block=8", options, nullptr, session(1));
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> woke{0};
+  const Context ctx = session(2);
+  for (std::size_t w = 0; w < ctx.pool().size(); ++w) {
+    ctx.pool().post([released, &woke] {
+      released.wait_for(std::chrono::seconds(2));
+      woke.fetch_add(1);
+    });
+  }
+  const std::string bytes = compress_to_archive_bytes(
+      input, "dctchop:cf=4,block=8", options, nullptr, ctx);
+  EXPECT_EQ(woke.load(), 0) << "the write waited for a parked worker";
+  release.set_value();
+  EXPECT_EQ(bytes, reference);
 }
 
 /// A restore whose sink fails in the tensor header or in any plane

@@ -169,12 +169,12 @@ TEST(ParallelForStatsCounters, GrainHeuristicExposedInStats) {
   EXPECT_EQ(stats.last_tasks, 2u);
   EXPECT_EQ(stats.last_chunk, 32u);
 
-  // Mid-size range (8 grain-units, under 4x the pool): one task per
-  // worker, chunks grown to cover the range.
+  // Mid-size range (8 grain-units, under 4x the pool): one grain-sized
+  // chunk per unit, so the caller and every helper get a share.
   parallel_for(0, 256, body, {.grain = 32});
   stats = parallel_for_stats();
-  EXPECT_EQ(stats.last_tasks, 4u);
-  EXPECT_EQ(stats.last_chunk, 64u);
+  EXPECT_EQ(stats.last_tasks, 8u);
+  EXPECT_EQ(stats.last_chunk, 32u);
 
   // Ample work (64 grain-units): 4x oversubscription kicks in.
   parallel_for(0, 2048, body, {.grain = 32});
@@ -183,6 +183,22 @@ TEST(ParallelForStatsCounters, GrainHeuristicExposedInStats) {
   EXPECT_EQ(stats.last_chunk, 128u);
   EXPECT_EQ(stats.parallel_runs, 3u);
   EXPECT_EQ(count.load(), 64 + 256 + 2048);
+}
+
+TEST(ParallelForStatsCounters, FourGrainUnitsOnTwoWorkersGetFourChunks) {
+  // The loader's decode shape: 4 grain units on a 2-worker pool get 4
+  // grain-sized chunks, so the caller and both helpers each get work.
+  PinnedPool pin(2);
+  reset_parallel_for_stats();
+  std::atomic<int> count{0};
+  parallel_for(
+      0, 4, [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); },
+      {.grain = 1});
+  const ParallelForStats stats = parallel_for_stats();
+  EXPECT_EQ(stats.parallel_runs, 1u);
+  EXPECT_EQ(stats.last_tasks, 4u);
+  EXPECT_EQ(stats.last_chunk, 1u);
+  EXPECT_EQ(count.load(), 4);
 }
 
 TEST(ParallelForNested, ReentrantCallFromWorkerInlinesAndIsCounted) {
